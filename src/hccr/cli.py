@@ -45,8 +45,6 @@ from .train_eval import (
 )
 
 NETS = ("googlenet-small", "googlenet-full", "alexnet-small", "alexnet-full")
-MODES = ("original", "original+gabor", "original+gradient", "original+hog",
-         "gabor-only")
 TRAIN_FRACTION = 0.8
 
 
@@ -228,11 +226,14 @@ def cmd_ensemble(args):
     subset = _eval_subset(_load_raw(args), loaded[0][0], args.split, args.seed)
     images = [s.image for s in subset.samples]
     labels = subset.labels()
+    member_probs = []
     for i, member in enumerate(members):
         probs = ensemble_predict([member], images, batch_size=args.batch)
+        member_probs.append(probs)
         top1 = 100.0 * float((probs.argmax(axis=1) == labels).mean())
         print(f"member{i} top1={top1:.2f} mode={member[2]} ({args.model[i]})")
-    probs = ensemble_predict(members, images, batch_size=args.batch)
+    # the same mean ensemble_predict(members) takes, with each member run once
+    probs = sum(member_probs) / len(members)
     top1 = 100.0 * float((probs.argmax(axis=1) == labels).mean())
     print(f"ensemble top1={top1:.2f} members={len(members)}")
     return 0
@@ -295,7 +296,7 @@ def build_parser():
     tr.add_argument("--net", choices=NETS, required=True,
                     help="architecture and scale")
     _add_data_flags(tr)
-    tr.add_argument("--mode", choices=MODES, default="original",
+    tr.add_argument("--mode", choices=tuple(MODE_CHANNELS), default="original",
                     help="input feature stacking")
     tr.add_argument("--epochs", type=_nonneg_int, default=20,
                     help="training epochs")
@@ -316,7 +317,7 @@ def build_parser():
     ev.add_argument("--model", metavar="PATH", action="append", required=True,
                     help="saved model file")
     _add_data_flags(ev)
-    ev.add_argument("--mode", choices=MODES, default="original",
+    ev.add_argument("--mode", choices=tuple(MODE_CHANNELS), default="original",
                     help="input feature stacking (must match the model)")
     ev.add_argument("--split", choices=("train", "test"), default="test",
                     help="which side of the held-out split to score")
@@ -329,7 +330,7 @@ def build_parser():
     ex = subs.add_parser("extract", formatter_class=fmt,
                          help="dump stacked feature planes as DTNS tensors")
     _add_data_flags(ex)
-    ex.add_argument("--mode", choices=MODES, default="original+gabor",
+    ex.add_argument("--mode", choices=tuple(MODE_CHANNELS), default="original+gabor",
                     help="which planes to stack")
     ex.add_argument("--out", metavar="PATH", required=True,
                     help="output directory (first sample also gets PGM previews)")
@@ -340,7 +341,8 @@ def build_parser():
     en.add_argument("--model", metavar="PATH", action="append", required=True,
                     help="member model file (repeat per member)")
     _add_data_flags(en)
-    en.add_argument("--mode", choices=MODES, action="append", default=None,
+    en.add_argument("--mode", choices=tuple(MODE_CHANNELS), action="append",
+                    default=None,
                     help="member input mode; one value for all members or one "
                          "per member; default infers from each model's "
                          "channel count")

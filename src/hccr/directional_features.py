@@ -128,12 +128,6 @@ CHAINCODE_DIRECTIONS = np.array(
     [(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)) for k in range(8)])
 
 
-@dataclass(frozen=True)
-class GradientDecompSpec:
-    """Eight 45-degree chaincode directions fed by a 3x3 Sobel operator."""
-    direction_count: int = 8
-
-
 def sobel_gradients(image):
     """(gx, gy) with replicated borders; gx grows rightward, gy downward."""
     image = np.asarray(image, dtype=tc.FLOAT)

@@ -8,7 +8,7 @@ layer path, created by init_weights and walked in a fixed canonical order
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -19,29 +19,99 @@ from .tensor_core import Node, ShapeError, Tape
 # ---------------------------------------------------------------------------
 # layer descriptors
 
+_RATE_SCALE = 1_000_000  # dropout rate stored as a u32 in millionths
+
+
+def _window_shape(shape, kernel=1, stride=1, pad=0):
+    """(C, Ho, Wo) of a sliding window over a C,H,W shape (the identity by default)."""
+    if len(shape) != 3:
+        raise ShapeError(f"needs a C,H,W input, got {shape}")
+    c, h, w = shape
+    return (c, tc.conv_output_extent(h, kernel, stride, pad),
+            tc.conv_output_extent(w, kernel, stride, pad))
+
+
+class _Layer:
+    """One frozen dataclass per layer kind owns its shape rule, parameters,
+    forward pass, HCRM fields and depth; a new kind also needs a _KIND_TAGS entry.
+    """
+    depth = 0           # weighted layers it counts as
+    pooling = False     # a standalone pooling layer
+
+    def out_shape(self, shape):
+        return shape
+
+    def param_entries(self, name, shape):
+        """(name, shape, fan_in) of each parameter, given the input shape."""
+        return []
+
+    def fields(self):
+        """The u32 fields stored in the HCRM spec block."""
+        return astuple(self)
+
+    @classmethod
+    def from_fields(cls, fields):
+        return cls(*fields)
+
+
+def _weight_and_bias(name, out, weight_shape):
+    fan_in = int(np.prod(weight_shape))
+    return [(f"{name}.w", (out, *weight_shape), fan_in), (f"{name}.b", (out,), None)]
+
+
 @dataclass(frozen=True)
-class Conv:
+class Conv(_Layer):
     out_channels: int
     kernel: int
     stride: int = 1
     pad: int = 0
+    depth = 1
+
+    def out_shape(self, shape):
+        return (self.out_channels,
+                *_window_shape(shape, self.kernel, self.stride, self.pad)[1:])
+
+    def param_entries(self, name, shape):
+        return _weight_and_bias(name, self.out_channels,
+                                (shape[0], self.kernel, self.kernel))
+
+    def forward(self, tape, x, param, rng):
+        return tc.conv2d_taped(tape, x, param("w"), param("b"), self.stride, self.pad)
 
 
 @dataclass(frozen=True)
-class MaxPool:
+class MaxPool(_Layer):
     window: int
     stride: int
     pad: int = 0
+    pooling = True
+
+    def out_shape(self, shape):
+        return _window_shape(shape, self.window, self.stride, self.pad)
+
+    def forward(self, tape, x, param, rng):
+        return tc.maxpool2d_taped(tape, x, self.window, self.stride, self.pad)
 
 
 @dataclass(frozen=True)
-class ReLU:
-    pass
+class ReLU(_Layer):
+    def forward(self, tape, x, param, rng):
+        return tc.relu_taped(tape, x)
 
 
 @dataclass(frozen=True)
-class Dropout:
+class Dropout(_Layer):
     rate: float = 0.5
+
+    def fields(self):
+        return (round(self.rate * _RATE_SCALE),)
+
+    @classmethod
+    def from_fields(cls, fields):
+        return cls(*(f / _RATE_SCALE for f in fields))
+
+    def forward(self, tape, x, param, rng):
+        return tc.dropout_taped(tape, x, self.rate, rng)
 
 
 @dataclass(frozen=True)
@@ -77,23 +147,72 @@ class InceptionSpec:
 
 
 @dataclass(frozen=True)
-class Inception:
+class Inception(_Layer):
     spec: InceptionSpec
+    depth = 2           # its longest branch: reduction plus convolution
+
+    def out_shape(self, shape):
+        return (self.spec.out_channels, *_window_shape(shape)[1:])
+
+    def param_entries(self, name, shape):
+        s, cin = self.spec, shape[0]
+        entries = []
+        for tag, cout, bcin, k in (("b1", s.c1, cin, 1), ("b3r", s.r3, cin, 1),
+                                   ("b3", s.c3, s.r3, 3), ("b5r", s.r5, cin, 1),
+                                   ("b5", s.c5, s.r5, 5), ("proj", s.pp, cin, 1)):
+            entries += _weight_and_bias(f"{name}.{tag}", cout, (bcin, k, k))
+        return entries
+
+    def fields(self):
+        return astuple(self.spec)
+
+    @classmethod
+    def from_fields(cls, fields):
+        return cls(InceptionSpec(*fields))
+
+    def forward(self, tape, x, param, rng):
+        # Ops are recorded b1, b3r, b3, b5r, b5, pool, proj: the backward pass
+        # adds the branch gradients into x in reverse of that order.
+        def conv_relu(tag, inp, pad=0):
+            conv = tc.conv2d_taped(tape, inp, param(f"{tag}.w"), param(f"{tag}.b"), 1, pad)
+            return tc.relu_taped(tape, conv)
+
+        b1 = conv_relu("b1", x)
+        b3 = conv_relu("b3", conv_relu("b3r", x), 1)
+        b5 = conv_relu("b5", conv_relu("b5r", x), 2)
+        pp = conv_relu("proj", tc.maxpool2d_taped(tape, x, 3, 1, 1))
+        return tc.concat_channels_taped(tape, [b1, b3, b5, pp])
 
 
 @dataclass(frozen=True)
-class GlobalAvgPool:
-    pass
+class GlobalAvgPool(_Layer):
+    pooling = True
+
+    def out_shape(self, shape):
+        return _window_shape(shape)[:1]
+
+    def forward(self, tape, x, param, rng):
+        return tc.mean_pool_taped(tape, x)
 
 
 @dataclass(frozen=True)
-class FullyConnected:
+class FullyConnected(_Layer):
     out_features: int
+    depth = 1
+
+    def out_shape(self, shape):
+        return (self.out_features,)
+
+    def param_entries(self, name, shape):
+        return _weight_and_bias(name, self.out_features, (int(np.prod(shape)),))
+
+    def forward(self, tape, x, param, rng):
+        return tc.fully_connected_taped(tape, x, param("w"), param("b"))
 
 
 @dataclass(frozen=True)
-class Softmax:
-    pass
+class Softmax(_Layer):
+    """Terminal layer: forward_net applies it, loss_and_grads fuses it into the loss."""
 
 
 @dataclass(frozen=True)
@@ -115,44 +234,15 @@ def build_inception(spec, in_channels):
 # ---------------------------------------------------------------------------
 # shape inference and validation
 
-def _layer_output_shape(layer, shape, index):
-    c = shape[0]
-    where = f"layer {index} ({type(layer).__name__.lower()})"
-    try:
-        if isinstance(layer, Conv):
-            _, h, w = shape
-            ho = tc.conv_output_extent(h, layer.kernel, layer.stride, layer.pad)
-            wo = tc.conv_output_extent(w, layer.kernel, layer.stride, layer.pad)
-            return (layer.out_channels, ho, wo)
-        if isinstance(layer, MaxPool):
-            _, h, w = shape
-            ho = tc.conv_output_extent(h, layer.window, layer.stride, layer.pad)
-            wo = tc.conv_output_extent(w, layer.window, layer.stride, layer.pad)
-            return (c, ho, wo)
-        if isinstance(layer, Inception):
-            _, h, w = shape
-            return (layer.spec.out_channels, h, w)
-        if isinstance(layer, GlobalAvgPool):
-            _, h, w = shape
-            return (c,)
-        if isinstance(layer, FullyConnected):
-            return (layer.out_features,)
-        if isinstance(layer, (ReLU, Dropout, Softmax)):
-            return shape
-    except (ShapeError, ValueError) as err:
-        raise ShapeError(f"{where}: {err}") from err
-    raise ShapeError(f"{where}: unknown layer kind")
-
-
 def infer_shapes(spec):
     """Per-layer output shapes; raises ShapeError naming the failing layer."""
     shapes = []
     shape = tuple(spec.input_shape)
     for i, layer in enumerate(spec.layers):
-        if isinstance(layer, (Conv, MaxPool, Inception)) and len(shape) != 3:
-            raise ShapeError(f"layer {i} ({type(layer).__name__.lower()}): "
-                             f"needs a C,H,W input, got {shape}")
-        shape = _layer_output_shape(layer, shape, i)
+        try:
+            shape = layer.out_shape(shape)
+        except (ShapeError, ValueError) as err:
+            raise ShapeError(f"layer {i} ({type(layer).__name__.lower()}): {err}") from err
         shapes.append(shape)
     return shapes
 
@@ -185,25 +275,8 @@ def parameter_entries(spec):
     entries = []
     shape = tuple(spec.input_shape)
     for i, layer in enumerate(spec.layers):
-        name = _layer_name(i, layer)
-        if isinstance(layer, Conv):
-            cin = shape[0]
-            k = layer.kernel
-            entries.append((f"{name}.w", (layer.out_channels, cin, k, k), cin * k * k))
-            entries.append((f"{name}.b", (layer.out_channels,), None))
-        elif isinstance(layer, Inception):
-            cin = shape[0]
-            s = layer.spec
-            for tag, cout, bcin, k in (("b1", s.c1, cin, 1), ("b3r", s.r3, cin, 1),
-                                       ("b3", s.c3, s.r3, 3), ("b5r", s.r5, cin, 1),
-                                       ("b5", s.c5, s.r5, 5), ("proj", s.pp, cin, 1)):
-                entries.append((f"{name}.{tag}.w", (cout, bcin, k, k), bcin * k * k))
-                entries.append((f"{name}.{tag}.b", (cout,), None))
-        elif isinstance(layer, FullyConnected):
-            d = int(np.prod(shape))
-            entries.append((f"{name}.w", (layer.out_features, d), d))
-            entries.append((f"{name}.b", (layer.out_features,), None))
-        shape = _layer_output_shape(layer, shape, i)
+        entries += layer.param_entries(_layer_name(i, layer), shape)
+        shape = layer.out_shape(shape)
     return entries
 
 
@@ -258,15 +331,8 @@ def count_layers(spec, convention="weighted"):
     adds standalone pooling layers (max and global-average), the input
     layer and the softmax output; concat layers are never counted.
     """
-    weighted = 0
-    pooling = 0
-    for layer in spec.layers:
-        if isinstance(layer, (Conv, FullyConnected)):
-            weighted += 1
-        elif isinstance(layer, Inception):
-            weighted += 2
-        elif isinstance(layer, (MaxPool, GlobalAvgPool)):
-            pooling += 1
+    weighted = sum(layer.depth for layer in spec.layers)
+    pooling = sum(layer.pooling for layer in spec.layers)
     if convention == "weighted":
         return weighted
     if convention == "weighted+pooling+io":
@@ -389,108 +455,52 @@ def with_dropout_rate(spec, rate):
 # ---------------------------------------------------------------------------
 # forward execution
 
-def _forward_inception_taped(tape, x, pget):
-    b1 = tc.relu_taped(tape, tc.conv2d_taped(tape, x, *pget("b1")))
-    b3 = tc.relu_taped(tape, tc.conv2d_taped(tape, x, *pget("b3r")))
-    b3 = tc.relu_taped(tape, tc.conv2d_taped(tape, b3, *pget("b3"), tc.ConvParams(1, 1)))
-    b5 = tc.relu_taped(tape, tc.conv2d_taped(tape, x, *pget("b5r")))
-    b5 = tc.relu_taped(tape, tc.conv2d_taped(tape, b5, *pget("b5"), tc.ConvParams(1, 2)))
-    pp = tc.maxpool2d_taped(tape, x, 3, 1, 1)
-    pp = tc.relu_taped(tape, tc.conv2d_taped(tape, pp, *pget("proj")))
-    return tc.concat_channels_taped(tape, [b1, b3, b5, pp])
+def _forward_logits(spec, params, x, tape, rng):
+    """Run every layer before the terminal softmax, recording on `tape` if given.
 
-
-def _forward_inception_plain(x, pget):
-    b1 = tc.relu(tc.conv2d(x, *pget("b1")))
-    b3 = tc.relu(tc.conv2d(x, *pget("b3r")))
-    b3 = tc.relu(tc.conv2d(b3, *pget("b3"), tc.ConvParams(1, 1)))
-    b5 = tc.relu(tc.conv2d(x, *pget("b5r")))
-    b5 = tc.relu(tc.conv2d(b5, *pget("b5"), tc.ConvParams(1, 2)))
-    pp = tc.relu(tc.conv2d(tc.maxpool2d(x, 3, 1, 1)[0], *pget("proj")))
-    return tc.concat_channels([b1, b3, b5, pp])
+    Returns the logits node. Every parameter is registered on the tape.
+    """
+    x = np.asarray(x)
+    if x.ndim != 4 or x.shape[1:] != tuple(spec.input_shape):
+        raise ShapeError(f"input shape {x.shape} does not match network input "
+                         f"(N, {', '.join(map(str, spec.input_shape))})")
+    *body, head = spec.layers
+    if not isinstance(head, Softmax):
+        raise ShapeError("spec must end with a softmax")
+    tensors = params.tensors if isinstance(params, ParamStore) else params
+    nodes = {k: Node(v) for k, v in tensors.items()}
+    if tape is not None:
+        tape.params = nodes
+    cur = Node(x)
+    for i, layer in enumerate(body):
+        name = _layer_name(i, layer)
+        try:
+            cur = layer.forward(tape, cur, lambda tag: nodes[f"{name}.{tag}"], rng)
+        except (ShapeError, ValueError) as err:
+            raise type(err)(f"layer {i} ({type(layer).__name__.lower()}): {err}") from None
+    return cur
 
 
 def forward_net(spec, params, x, mode="infer", rng=None):
     """Run the network on a batch. Returns (probabilities, tape).
 
     The tape is None in infer mode (dropout inactive, nothing recorded).
-    Train mode registers every parameter on the tape and needs an rng when
-    any dropout layer has a positive rate.
+    Train mode records every op up to the logits (the tape's output),
+    registers every parameter on the tape, and needs an rng when any
+    dropout layer has a positive rate.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
-    x = np.asarray(x)
-    if x.ndim != 4 or x.shape[1:] != tuple(spec.input_shape):
-        raise ShapeError(f"input shape {x.shape} does not match network input "
-                         f"(N, {', '.join(map(str, spec.input_shape))})")
-    tensors = params.tensors if isinstance(params, ParamStore) else params
-    train = mode == "train"
-
-    if train:
-        tape = Tape()
-        nodes = {k: Node(v) for k, v in tensors.items()}
-        tape.params = nodes
-        cur = Node(x)
-    else:
-        tape, nodes, cur = None, None, x
-
-    for i, layer in enumerate(spec.layers):
-        name = _layer_name(i, layer)
-        try:
-            if isinstance(layer, Conv):
-                cp = tc.ConvParams(layer.stride, layer.pad)
-                if train:
-                    cur = tc.conv2d_taped(tape, cur, nodes[f"{name}.w"],
-                                          nodes[f"{name}.b"], cp)
-                else:
-                    cur = tc.conv2d(cur, tensors[f"{name}.w"], tensors[f"{name}.b"], cp)
-            elif isinstance(layer, MaxPool):
-                if train:
-                    cur = tc.maxpool2d_taped(tape, cur, layer.window, layer.stride,
-                                             layer.pad)
-                else:
-                    cur = tc.maxpool2d(cur, layer.window, layer.stride, layer.pad)[0]
-            elif isinstance(layer, ReLU):
-                cur = tc.relu_taped(tape, cur) if train else tc.relu(cur)
-            elif isinstance(layer, Dropout):
-                if train and layer.rate > 0:
-                    if rng is None:
-                        raise ValueError("train mode with dropout needs an rng")
-                    cur = tc.dropout_taped(tape, cur, layer.rate, rng)
-            elif isinstance(layer, Inception):
-                if train:
-                    pget = lambda tag: (nodes[f"{name}.{tag}.w"], nodes[f"{name}.{tag}.b"])
-                    cur = _forward_inception_taped(tape, cur, pget)
-                else:
-                    pget = lambda tag: (tensors[f"{name}.{tag}.w"], tensors[f"{name}.{tag}.b"])
-                    cur = _forward_inception_plain(cur, pget)
-            elif isinstance(layer, GlobalAvgPool):
-                cur = tc.mean_pool_taped(tape, cur) if train else cur.mean(axis=(2, 3))
-            elif isinstance(layer, FullyConnected):
-                value = cur.value if train else cur
-                if value.ndim != 2:
-                    flat = (value.shape[0], int(np.prod(value.shape[1:])))
-                    cur = tc.reshape_taped(tape, cur, flat) if train else value.reshape(flat)
-                if train:
-                    cur = tc.fully_connected_taped(tape, cur, nodes[f"{name}.w"],
-                                                   nodes[f"{name}.b"])
-                else:
-                    cur = tc.fully_connected(cur, tensors[f"{name}.w"], tensors[f"{name}.b"])
-            elif isinstance(layer, Softmax):
-                cur = tc.softmax_taped(tape, cur) if train else tc.softmax(cur)
-            else:
-                raise ShapeError("unknown layer kind")
-        except (ShapeError, ValueError) as err:
-            raise type(err)(f"layer {i} ({type(layer).__name__.lower()}): {err}") from None
-
-    probs = cur.value if train else cur
-    return probs, tape
+    tape = Tape() if mode == "train" else None
+    logits = _forward_logits(spec, params, x, tape, rng)
+    return tc.softmax(logits.value), tape
 
 
 def loss_and_grads(spec, params, x, labels, rng=None):
     """One taped forward/backward pass: (loss, probabilities, gradient dict)."""
-    probs, tape = forward_net(spec, params, x, mode="train", rng=rng)
-    loss = tc.cross_entropy_taped(tape, tape.output, labels)
+    tape = Tape()
+    logits = _forward_logits(spec, params, x, tape, rng)
+    loss, probs = tc.softmax_cross_entropy_taped(tape, logits, labels)
     tape.backward()
     return float(loss.value), probs, tape.param_grads()
 
@@ -519,42 +529,7 @@ def grad_check_network(spec, params, x, labels, epsilon=1e-5, tolerance=1e-4,
 
 _KIND_TAGS = {Conv: 1, MaxPool: 2, ReLU: 3, Dropout: 4, Inception: 5,
               FullyConnected: 6, Softmax: 7, GlobalAvgPool: 8}
-_RATE_SCALE = 1_000_000  # dropout rate stored as a u32 in millionths
-
-
-def _layer_fields(layer):
-    if isinstance(layer, Conv):
-        return (layer.out_channels, layer.kernel, layer.stride, layer.pad)
-    if isinstance(layer, MaxPool):
-        return (layer.window, layer.stride, layer.pad)
-    if isinstance(layer, Dropout):
-        return (round(layer.rate * _RATE_SCALE),)
-    if isinstance(layer, Inception):
-        s = layer.spec
-        return (s.c1, s.r3, s.c3, s.r5, s.c5, s.pp)
-    if isinstance(layer, FullyConnected):
-        return (layer.out_features,)
-    return ()
-
-
-def _layer_from_fields(tag, fields):
-    if tag == 1:
-        return Conv(*fields)
-    if tag == 2:
-        return MaxPool(*fields)
-    if tag == 3:
-        return ReLU()
-    if tag == 4:
-        return Dropout(fields[0] / _RATE_SCALE)
-    if tag == 5:
-        return Inception(InceptionSpec(*fields))
-    if tag == 6:
-        return FullyConnected(fields[0])
-    if tag == 7:
-        return Softmax()
-    if tag == 8:
-        return GlobalAvgPool()
-    raise ValueError(f"unknown layer tag {tag}")
+_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
 
 
 def spec_to_bytes(spec):
@@ -562,25 +537,38 @@ def spec_to_bytes(spec):
     out += struct.pack("<3I", *spec.input_shape)
     out += struct.pack("<I", len(spec.layers))
     for layer in spec.layers:
-        fields = _layer_fields(layer)
+        fields = layer.fields()
         out += struct.pack("<BB", _KIND_TAGS[type(layer)], len(fields))
         out += struct.pack(f"<{len(fields)}I", *fields)
     return bytes(out)
 
 
 def spec_from_bytes(data, class_count):
-    off = 0
-    c, h, w = struct.unpack_from("<3I", data, off)
-    off += 12
-    (n_layers,) = struct.unpack_from("<I", data, off)
-    off += 4
-    layers = []
-    for _ in range(n_layers):
-        tag, n_fields = struct.unpack_from("<BB", data, off)
-        off += 2
-        fields = struct.unpack_from(f"<{n_fields}I", data, off)
-        off += 4 * n_fields
-        layers.append(_layer_from_fields(tag, fields))
+    """Parse and validate a spec block; malformed bytes raise ValueError."""
+    try:
+        c, h, w, n_layers = struct.unpack_from("<4I", data, 0)
+        off = 16
+        layers = []
+        for i in range(n_layers):
+            tag, n_fields = struct.unpack_from("<BB", data, off)
+            off += 2
+            fields = struct.unpack_from(f"<{n_fields}I", data, off)
+            off += 4 * n_fields
+            kind = _KINDS.get(tag)
+            if kind is None:
+                raise ValueError(f"layer {i}: unknown layer tag {tag}")
+            try:
+                layer = kind.from_fields(fields)
+            except TypeError:
+                layer = None
+            if layer is None or layer.fields() != fields:
+                raise ValueError(f"layer {i}: {n_fields} fields do not fit "
+                                 f"a {kind.__name__.lower()} layer")
+            layers.append(layer)
+    except struct.error as err:
+        raise ValueError(f"spec block is truncated: {err}") from None
     if off != len(data):
         raise ValueError(f"spec block has {len(data) - off} trailing bytes")
-    return NetworkSpec((c, h, w), tuple(layers), class_count)
+    spec = NetworkSpec((c, h, w), tuple(layers), class_count)
+    validate_spec(spec)
+    return spec

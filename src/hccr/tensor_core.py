@@ -19,10 +19,6 @@ class ShapeError(ValueError):
     """Operands whose shapes cannot be combined."""
 
 
-def as_tensor(data, dtype=FLOAT):
-    return np.ascontiguousarray(data, dtype=dtype)
-
-
 def conv_output_extent(size, kernel, stride, pad):
     """Output extent of a sliding window: floor((size + 2*pad - kernel)/stride) + 1."""
     if stride < 1:
@@ -35,26 +31,6 @@ def conv_output_extent(size, kernel, stride, pad):
             f"window {kernel} (stride {stride}, pad {pad}) does not fit input extent {size}"
         )
     return out
-
-
-class ConvParams:
-    """Stride/padding for a convolution; padding is symmetric zero-fill.
-
-    Connectivity is always full: every output map reads every input map.
-    """
-
-    __slots__ = ("stride", "padding")
-
-    def __init__(self, stride=1, padding=0):
-        if stride < 1:
-            raise ShapeError(f"stride must be >= 1, got {stride}")
-        if padding < 0:
-            raise ShapeError(f"padding must be >= 0, got {padding}")
-        self.stride = stride
-        self.padding = padding
-
-    def __repr__(self):
-        return f"ConvParams(stride={self.stride}, padding={self.padding})"
 
 
 def _windows(x, kh, kw, stride, pad, fill=0.0):
@@ -75,13 +51,13 @@ def _windows(x, kh, kw, stride, pad, fill=0.0):
     return view, xp
 
 
-def conv2d(x, w, b, params=None):
+def conv2d(x, w, b, stride=1, pad=0):
     """Cross-correlation of x[N,C,H,W] with w[F,C,Kh,Kw] plus bias[F].
 
-    No kernel flip; accumulation runs channel-major then kernel rows then
-    columns, so results are reproducible bit for bit.
+    Padding is symmetric zero-fill and every output map reads every input
+    map. No kernel flip; accumulation runs channel-major then kernel rows
+    then columns, so results are reproducible bit for bit.
     """
-    params = params or ConvParams()
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and weights, got {x.shape} and {w.shape}")
     n, c, h, wd = x.shape
@@ -90,7 +66,7 @@ def conv2d(x, w, b, params=None):
         raise ShapeError(f"input has {c} channels but weights expect {cw}")
     if b.shape != (f,):
         raise ShapeError(f"bias shape {b.shape} does not match {f} filters")
-    view, _ = _windows(x, kh, kw, params.stride, params.padding)
+    view, _ = _windows(x, kh, kw, stride, pad)
     ho, wo = view.shape[2], view.shape[3]
     # one GEMM: (N*Ho*Wo, C*Kh*Kw) @ (C*Kh*Kw, F)
     cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
@@ -99,9 +75,8 @@ def conv2d(x, w, b, params=None):
     return out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2).copy()
 
 
-def _conv2d_backward(g, x, w, params):
+def _conv2d_backward(g, x, w, stride, pad):
     """Gradients of conv2d w.r.t. (input, weights, bias) given upstream g[N,F,Ho,Wo]."""
-    stride, pad = params.stride, params.padding
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     ho, wo = g.shape[2], g.shape[3]
@@ -120,23 +95,12 @@ def _conv2d_backward(g, x, w, params):
     return dx, dw, db
 
 
-class ArgmaxIndices:
-    """Winner positions saved by maxpool2d, enough to route gradients back."""
-
-    __slots__ = ("flat", "input_shape", "window", "stride", "pad")
-
-    def __init__(self, flat, input_shape, window, stride, pad):
-        self.flat = flat                # (N, C, Ho, Wo) indices into the padded plane
-        self.input_shape = input_shape
-        self.window = window
-        self.stride = stride
-        self.pad = pad
-
-
 def maxpool2d(x, window, stride, pad=0):
     """Max over each window; ties go to the first row-major position.
 
-    Returns (output, ArgmaxIndices). Padding cells are -inf and can never win.
+    Returns (output, saved). Padding cells are -inf and can never win.
+    `saved` is (flat, input_shape, pad), where flat[N,C,Ho,Wo] holds each
+    winner's index into its padded plane; maxpool2d_backward takes it.
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects a 4-D tensor, got {x.shape}")
@@ -154,18 +118,17 @@ def maxpool2d(x, window, stride, pad=0):
     wy, wx = arg // window, arg % window
     wp = w + 2 * pad
     flat = (oy[None, None] + wy) * wp + (ox[None, None] + wx)
-    return np.ascontiguousarray(out), ArgmaxIndices(flat, x.shape, window, stride, pad)
+    return np.ascontiguousarray(out), (flat, x.shape, pad)
 
 
 def maxpool2d_backward(g, saved):
     """Scatter each upstream element onto its saved argmax position."""
-    n, c, h, w = saved.input_shape
-    pad = saved.pad
+    flat, (n, c, h, w), pad = saved
     hp, wp = h + 2 * pad, w + 2 * pad
     dxp = np.zeros((n, c, hp * wp), dtype=g.dtype)
     np.add.at(dxp, (np.arange(n)[:, None, None, None],
                     np.arange(c)[None, :, None, None],
-                    saved.flat), g)
+                    flat), g)
     dxp = dxp.reshape(n, c, hp, wp)
     return dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
 
@@ -278,7 +241,7 @@ def sgd_step(params, grads, lr, momentum=0.0, velocity=None):
 # reverse-mode tape
 
 class Node:
-    """A value produced during a taped forward pass."""
+    """A value passed between the *_taped ops; Tape.backward fills `grad`."""
 
     __slots__ = ("value", "grad")
 
@@ -304,12 +267,6 @@ class Tape:
         self._records.append((name, inputs, output, backward))
         self.output = output
         return output
-
-    def find_producer(self, node):
-        for rec in reversed(self._records):
-            if rec[2] is node:
-                return rec
-        return None
 
     def backward(self, seed=1.0):
         """Seed the terminal node and propagate gradients in reverse order."""
@@ -345,15 +302,19 @@ class Tape:
         return out
 
 
-def conv2d_taped(tape, x, w, b, params=None):
-    params = params or ConvParams()
-    out = Node(conv2d(x.value, w.value, b.value, params))
+def _record(tape, name, inputs, output, backward):
+    """Every *_taped op records through here; with tape=None it only computes."""
+    return output if tape is None else tape.record(name, inputs, output, backward)
+
+
+def conv2d_taped(tape, x, w, b, stride=1, pad=0):
+    out = Node(conv2d(x.value, w.value, b.value, stride, pad))
 
     def backward(g):
-        dx, dw, db = _conv2d_backward(g, x.value, w.value, params)
+        dx, dw, db = _conv2d_backward(g, x.value, w.value, stride, pad)
         return [(x, dx), (w, dw), (b, db)]
 
-    return tape.record("conv2d", (x, w, b), out, backward)
+    return _record(tape, "conv2d", (x, w, b), out, backward)
 
 
 def maxpool2d_taped(tape, x, window, stride, pad=0):
@@ -363,7 +324,7 @@ def maxpool2d_taped(tape, x, window, stride, pad=0):
     def backward(g):
         return [(x, maxpool2d_backward(g, saved))]
 
-    return tape.record("maxpool2d", (x,), out, backward)
+    return _record(tape, "maxpool2d", (x,), out, backward)
 
 
 def relu_taped(tape, x):
@@ -372,15 +333,18 @@ def relu_taped(tape, x):
     def backward(g):
         return [(x, _relu_backward(g, x.value))]
 
-    return tape.record("relu", (x,), out, backward)
+    return _record(tape, "relu", (x,), out, backward)
 
 
 def dropout_taped(tape, x, rate, rng):
+    """Train-mode inverted dropout; the identity with no tape or a zero rate."""
+    if tape is None or rate == 0:
+        return x
     y, mask = dropout(x.value, rate, "train", rng)
     out = Node(y)
 
     def backward(g):
-        return [(x, g if mask is None else g * mask)]
+        return [(x, g * mask)]
 
     return tape.record("dropout", (x,), out, backward)
 
@@ -392,26 +356,20 @@ def concat_channels_taped(tape, xs):
     def backward(g):
         return [(x, g[:, bounds[i]:bounds[i + 1]]) for i, x in enumerate(xs)]
 
-    return tape.record("concat", tuple(xs), out, backward)
+    return _record(tape, "concat", tuple(xs), out, backward)
 
 
 def fully_connected_taped(tape, x, w, b):
-    out = Node(fully_connected(x.value, w.value, b.value))
+    """fully_connected over x flattened to [N, D]; dx keeps x's shape."""
+    shape = x.value.shape
+    flat = x.value.reshape(shape[0], int(np.prod(shape[1:])))
+    out = Node(fully_connected(flat, w.value, b.value))
 
     def backward(g):
-        dx, dw, db = _fully_connected_backward(g, x.value, w.value)
-        return [(x, dx), (w, dw), (b, db)]
+        dx, dw, db = _fully_connected_backward(g, flat, w.value)
+        return [(x, dx.reshape(shape)), (w, dw), (b, db)]
 
-    return tape.record("fully_connected", (x, w, b), out, backward)
-
-
-def reshape_taped(tape, x, shape):
-    out = Node(x.value.reshape(shape))
-
-    def backward(g):
-        return [(x, g.reshape(x.value.shape))]
-
-    return tape.record("reshape", (x,), out, backward)
+    return _record(tape, "fully_connected", (x, w, b), out, backward)
 
 
 def mean_pool_taped(tape, x):
@@ -423,53 +381,27 @@ def mean_pool_taped(tape, x):
         dx = np.broadcast_to(g[:, :, None, None] / g.dtype.type(h * w), x.value.shape)
         return [(x, np.ascontiguousarray(dx))]
 
-    return tape.record("mean_pool", (x,), out, backward)
+    return _record(tape, "mean_pool", (x,), out, backward)
 
 
-def softmax_taped(tape, x):
-    p = softmax(x.value)
-    out = Node(p)
+def softmax_cross_entropy_taped(tape, logits, labels):
+    """Mean cross-entropy of softmax(logits) against integer class labels.
 
-    def backward(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
-        return [(x, p * (g - dot))]
-
-    return tape.record("softmax", (x,), out, backward)
-
-
-def cross_entropy_taped(tape, probs, labels):
-    """Scalar loss node over a probabilities node.
-
-    When `probs` was produced by a softmax on this tape, the backward pass
-    is fused onto the softmax's input, giving the exact (p - onehot)/N
-    gradient on the logits.
+    Returns (scalar loss node, probabilities). The backward pass gives the
+    logits the exact gradient (p - onehot)/N.
     """
     labels = np.asarray(labels)
-    loss = cross_entropy(probs.value, labels)
-    out = Node(np.asarray(loss, dtype=probs.value.dtype))
-    n, t = probs.value.shape
-    producer = tape.find_producer(probs)
-
-    if producer is not None and producer[0] == "softmax":
-        logits_node = producer[1][0]
-        p = probs.value
-
-        def backward(g):
-            d = p.copy()
-            d[np.arange(n), labels] -= 1
-            d *= g / p.dtype.type(n)
-            return [(logits_node, d)]
-
-        return tape.record("cross_entropy(fused)", (logits_node,), out, backward)
+    p = softmax(logits.value)
+    out = Node(np.asarray(cross_entropy(p, labels), dtype=p.dtype))
+    n = p.shape[0]
 
     def backward(g):
-        p = probs.value
-        dp = np.zeros_like(p)
-        picked = np.maximum(p[np.arange(n), labels], np.finfo(p.dtype).tiny)
-        dp[np.arange(n), labels] = -g / (p.dtype.type(n) * picked)
-        return [(probs, dp)]
+        d = p.copy()
+        d[np.arange(n), labels] -= 1
+        d *= g / p.dtype.type(n)
+        return [(logits, d)]
 
-    return tape.record("cross_entropy", (probs,), out, backward)
+    return _record(tape, "softmax_cross_entropy", (logits,), out, backward), p
 
 
 # ---------------------------------------------------------------------------

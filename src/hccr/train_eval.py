@@ -266,10 +266,12 @@ def save_model(spec, params, path):
 
 
 def load_model(path):
-    """Read an HCRM container back into (spec, ParamStore)."""
+    """Read an HCRM container back into (spec, ParamStore); bad files raise ValueError."""
     data = Path(path).read_bytes()
     if data[:4] != MODEL_MAGIC:
         raise ValueError(f"{path}: bad magic {data[:4]!r}")
+    if len(data) < 16:
+        raise ValueError(f"{path}: {len(data)} bytes is too short for an HCRM header")
     version, class_count, blob_len = struct.unpack_from("<3I", data, 4)
     if version != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")

@@ -127,7 +127,7 @@ def test_criterion_2_kernel_oracles(capfd):
         x = rng.standard_normal((n, c, size, size)).astype(np.float32)
         w = rng.standard_normal((f, c, k, k)).astype(np.float32)
         b = rng.standard_normal(f).astype(np.float32)
-        out = tc.conv2d(x, w, b, tc.ConvParams(stride=stride, padding=pad))
+        out = tc.conv2d(x, w, b, stride=stride, pad=pad)
         ref = conv2d_ref(x, w, b, stride=stride, pad=pad)
         worst = max(worst, float(np.abs(out - ref).max()))
         cases += 1

@@ -9,7 +9,6 @@ from hccr.directional_features import (
     CHAINCODE_DIRECTIONS,
     FeatureStack,
     GaborBankSpec,
-    GradientDecompSpec,
     HogSpec,
     MODE_CHANNELS,
     canonical_mode,
@@ -192,7 +191,6 @@ def test_gradient_plane_tracks_edge_direction_cyclically():
 
 
 def test_gradient_decomp_spec_defaults():
-    assert GradientDecompSpec().direction_count == 8
     assert CHAINCODE_DIRECTIONS.shape == (8, 2)
     np.testing.assert_allclose(np.hypot(*CHAINCODE_DIRECTIONS.T), 1.0)
 

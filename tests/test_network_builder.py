@@ -342,13 +342,15 @@ def test_forward_infer_prob_rows():
 
 
 def test_forward_train_matches_infer_without_dropout():
-    spec = with_dropout_rate(tiny_spec(), 0.0)
-    params = init_weights(spec, seed=2)
-    x = np.random.default_rng(9).random((2, 1, 8, 8), dtype=np.float32)
-    p_infer, _ = forward_net(spec, params, x, mode="infer")
-    p_train, tape = forward_net(spec, params, x, mode="train")
-    assert tape is not None
-    np.testing.assert_array_equal(p_infer, p_train)
+    for spec in (tiny_spec(), build_hccr_googlenet("reference-small"),
+                 build_hccr_alexnet("reference-small")):
+        spec = with_dropout_rate(spec, 0.0)
+        params = init_weights(spec, seed=2)
+        x = np.random.default_rng(9).random((2, *spec.input_shape), dtype=np.float32)
+        p_infer, _ = forward_net(spec, params, x, mode="infer")
+        p_train, tape = forward_net(spec, params, x, mode="train")
+        assert tape is not None
+        np.testing.assert_array_equal(p_infer, p_train)
 
 
 def test_forward_dropout_needs_rng():

@@ -20,7 +20,7 @@ def test_conv2d_identity_kernel():
     w = np.zeros((1, 1, 3, 3), dtype=np.float32)
     w[0, 0, 1, 1] = 1.0
     b = np.zeros(1, dtype=np.float32)
-    out = tc.conv2d(x, w, b, tc.ConvParams(stride=1, padding=1))
+    out = tc.conv2d(x, w, b, stride=1, pad=1)
     np.testing.assert_allclose(out, x)
 
 
@@ -38,7 +38,7 @@ def test_conv2d_matches_naive_reference():
     x = rnd((2, 3, 8, 8), rng)
     w = rnd((4, 3, 3, 3), rng)
     b = rnd(4, rng)
-    out = tc.conv2d(x, w, b, tc.ConvParams(stride=2, padding=1))
+    out = tc.conv2d(x, w, b, stride=2, pad=1)
     ref = conv2d_ref(x, w, b, stride=2, pad=1)
     np.testing.assert_allclose(out, ref, atol=1e-5)
 
@@ -81,7 +81,9 @@ def test_maxpool_matches_naive_reference():
 def test_maxpool_tie_breaks_first_row_major():
     x = np.zeros((1, 1, 2, 2), dtype=np.float32)
     out, saved = tc.maxpool2d(x, window=2, stride=2)
-    assert saved.flat[0, 0, 0, 0] == 0  # top-left wins the all-zero window
+    dx = tc.maxpool2d_backward(np.ones_like(out), saved)
+    # top-left wins the all-zero window and takes the whole gradient
+    np.testing.assert_array_equal(dx[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_maxpool_rejects_oversized_window():
@@ -276,8 +278,7 @@ def test_softmax_cross_entropy_gradient_matches_finite_differences():
 
     tape = tc.Tape()
     node = tc.Node(logits.copy())
-    probs = tc.softmax_taped(tape, node)
-    tc.cross_entropy_taped(tape, probs, labels)
+    tc.softmax_cross_entropy_taped(tape, node, labels)
     tape.backward()
     eps = 1e-6
     for i in range(logits.size):
@@ -297,10 +298,10 @@ def test_fused_backward_equals_probs_minus_onehot_over_n():
     labels = np.array([1, 6, 0, 3])
     tape = tc.Tape()
     node = tc.Node(logits)
-    probs = tc.softmax_taped(tape, node)
-    tc.cross_entropy_taped(tape, probs, labels)
+    _, probs = tc.softmax_cross_entropy_taped(tape, node, labels)
     tape.backward()
     expected = tc.softmax(logits)
+    np.testing.assert_array_equal(probs, expected)
     expected[np.arange(4), labels] -= 1
     expected /= 4
     np.testing.assert_allclose(node.grad, expected, atol=1e-12)
@@ -391,8 +392,7 @@ def test_grad_check_two_layer_net_64bit():
         h = tc.relu_taped(t, tc.fully_connected_taped(
             t, tc.Node(x), nodes["fc1.w"], nodes["fc1.b"]))
         logits = tc.fully_connected_taped(t, h, nodes["fc2.w"], nodes["fc2.b"])
-        probs = tc.softmax_taped(t, logits)
-        loss = tc.cross_entropy_taped(t, probs, labels)
+        loss, _ = tc.softmax_cross_entropy_taped(t, logits, labels)
         return float(loss.value), t
 
     def loss_fn(p):
@@ -445,7 +445,7 @@ def test_kernel_oracles_random_shapes():
         x = rnd((n, c, h, w), rng)
         wt = rnd((f, c, k, k), rng)
         b = rnd(f, rng)
-        out = tc.conv2d(x, wt, b, tc.ConvParams(stride, pad))
+        out = tc.conv2d(x, wt, b, stride, pad)
         np.testing.assert_allclose(out, conv2d_ref(x, wt, b, stride, pad), atol=1e-5)
     for _ in range(70):
         n, c = int(rng.integers(1, 3)), int(rng.integers(1, 4))

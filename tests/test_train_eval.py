@@ -342,6 +342,27 @@ def test_load_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="expected"):
         load_model(padded)
 
+    header_only = tmp_path / "header.hcrm"
+    header_only.write_bytes(good[:10])
+    with pytest.raises(ValueError, match="too short"):
+        load_model(header_only)
+
+    # the first layer (a conv with 4 fields) starts after the 16-byte file
+    # header and the 16-byte spec header; its field count is byte 33
+    for count in (3, 5):
+        bad_fields = tmp_path / f"fields{count}.hcrm"
+        bad_fields.write_bytes(good[:33] + bytes([count]) + good[34:])
+        with pytest.raises(ValueError, match="fields"):
+            load_model(bad_fields)
+
+    # the spec block ends with the softmax's (tag 7, no fields); make it a relu
+    blob_end = 16 + int.from_bytes(good[12:16], "little")
+    assert good[blob_end - 2:blob_end] == bytes([7, 0])
+    no_softmax = tmp_path / "nosoftmax.hcrm"
+    no_softmax.write_bytes(good[:blob_end - 2] + bytes([3, 0]) + good[blob_end:])
+    with pytest.raises(ValueError, match="softmax"):
+        load_model(no_softmax)
+
 
 def test_storage_projection_for_reference_parameter_count():
     # 7.26 million parameters at 4 bytes each

@@ -12,7 +12,12 @@ import sys
 from pathlib import Path
 
 from . import tensor_core as tc
-from .directional_features import MODE_CHANNELS, canonical_mode, stack_input
+from .directional_features import (
+    MODE_CHANNELS,
+    canonical_mode,
+    stack_batch,
+    stack_input,
+)
 from .network_builder import (
     build_hccr_alexnet,
     build_hccr_googlenet,
@@ -33,14 +38,16 @@ from .pipeline_data import (
 )
 from .train_eval import (
     TrainConfig,
-    ensemble_predict,
+    check_class_counts,
     evaluate_topk,
     format_training_log,
     load_model,
+    predict,
     report_keyvalues,
     report_table,
     save_model,
     serialized_size_report,
+    top1_percent,
     train,
 )
 
@@ -73,8 +80,9 @@ def _nonneg_float(text):
     return value
 
 
-def _print_config(args, keys):
-    parts = [f"{key.replace('_', '-')}={getattr(args, key)}" for key in keys]
+def _print_config(args):
+    parts = [f"{key.replace('_', '-')}={value}" for key, value in
+             vars(args).items() if key not in ("command", "func")]
     print(f"config: subcommand={args.command} " + " ".join(parts))
 
 
@@ -102,24 +110,39 @@ def _preset_for_spec(spec):
     return PREPROC_PRESETS[f"{family}-{size}"]
 
 
-def _eval_subset(dataset, spec, split, seed):
-    prepared = preprocess_dataset(dataset, _preset_for_spec(spec))
-    train_part, test_part = shuffle_split(prepared, TRAIN_FRACTION, seed)
-    return train_part if split == "train" else test_part
+def _eval_subsets(args, specs):
+    """Load the data, check class counts, and return each model's side of the
+    held-out split in its own preprocessing preset (each preset runs once)."""
+    raw = _load_raw(args)
+    check_class_counts(specs, raw.class_count)
+    side = shuffle_split(raw, TRAIN_FRACTION, args.seed)[args.split == "test"]
+    presets = [_preset_for_spec(spec) for spec in specs]
+    prepared = {preset: preprocess_dataset(side, preset)
+                for preset in dict.fromkeys(presets)}
+    return [prepared[preset] for preset in presets]
 
 
-def _check_mode_channels(mode, spec, flag="--mode"):
-    channels = MODE_CHANNELS[canonical_mode(mode)]
-    if channels != spec.input_shape[0]:
-        raise UsageError(f"{flag} {mode} stacks {channels} channel(s) but the "
-                         f"model expects {spec.input_shape[0]}")
+def _model_mode(spec, mode):
+    """`mode`, checked against the model's channels; None picks the one fit."""
+    channels = spec.input_shape[0]
+    if mode is None:
+        fits = [m for m, count in MODE_CHANNELS.items() if count == channels]
+        if len(fits) != 1:
+            raise UsageError(f"a {channels}-channel model needs --mode (modes "
+                             f"stacking {channels}: {', '.join(fits) or 'none'})")
+        return fits[0]
+    stacked = MODE_CHANNELS[canonical_mode(mode)]
+    if stacked != channels:
+        raise UsageError(f"--mode {mode} stacks {stacked} channel(s) but the "
+                         f"model expects {channels}")
+    return mode
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_synth(args):
-    _print_config(args, ("classes", "per_class", "noise", "seed", "out", "gnt"))
+    _print_config(args)
     if args.out is None and args.gnt is None:
         raise UsageError("at least one of --out or --gnt is required")
     data = synth_glyphs(args.classes, args.per_class, noise=args.noise,
@@ -144,8 +167,7 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    _print_config(args, ("net", "data", "gnt", "mode", "epochs", "batch",
-                         "lr", "momentum", "seed", "out"))
+    _print_config(args)
     raw = _load_raw(args)
     prepared = preprocess_dataset(raw, PREPROC_PRESETS[args.net])
     train_set, val_set = shuffle_split(prepared, TRAIN_FRACTION, args.seed)
@@ -164,13 +186,12 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    _print_config(args, ("model", "data", "gnt", "mode", "split", "seed",
-                         "batch"))
+    _print_config(args)
     if len(args.model) != 1:
         raise UsageError("eval takes exactly one --model")
     spec, params = load_model(args.model[0])
-    _check_mode_channels(args.mode, spec)
-    subset = _eval_subset(_load_raw(args), spec, args.split, args.seed)
+    _model_mode(spec, args.mode)
+    subset, = _eval_subsets(args, [spec])
     report = evaluate_topk(spec, params, subset, ks=(1, 2, 5, 10),
                            mode=args.mode, batch_size=args.batch)
     print(report_keyvalues(report))
@@ -179,7 +200,7 @@ def cmd_eval(args):
 
 
 def cmd_extract(args):
-    _print_config(args, ("data", "gnt", "mode", "out"))
+    _print_config(args)
     raw = _load_raw(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,50 +218,36 @@ def cmd_extract(args):
     return 0
 
 
-def _infer_mode(spec):
-    channels = spec.input_shape[0]
-    if channels == 1:
-        return "original"
-    if channels == 8:
-        return "gabor-only"
-    return "original+gabor"
-
-
 def cmd_ensemble(args):
-    _print_config(args, ("model", "data", "gnt", "mode", "split", "seed",
-                         "batch"))
+    _print_config(args)
     loaded = [load_model(path) for path in args.model]
-    if args.mode is None:
-        modes = [_infer_mode(spec) for spec, _ in loaded]
-    elif len(args.mode) == 1:
-        modes = [args.mode[0]] * len(loaded)
-    elif len(args.mode) == len(loaded):
-        modes = list(args.mode)
-    else:
+    specs = [spec for spec, _ in loaded]
+    given = args.mode or [None]
+    if len(given) == 1:
+        given = given * len(loaded)
+    if len(given) != len(loaded):
         raise UsageError(f"got {len(args.mode)} --mode values for "
-                         f"{len(args.model)} models; give one or one each")
-    members = []
-    for (spec, params), mode in zip(loaded, modes):
-        _check_mode_channels(mode, spec)
-        members.append((spec, params, mode))
-    subset = _eval_subset(_load_raw(args), loaded[0][0], args.split, args.seed)
-    images = [s.image for s in subset.samples]
-    labels = subset.labels()
+                         f"{len(loaded)} models; give one or one each")
+    modes = [_model_mode(spec, mode) for spec, mode in zip(specs, given)]
+    subsets = _eval_subsets(args, specs)
+    labels = subsets[0].labels()
     member_probs = []
-    for i, member in enumerate(members):
-        probs = ensemble_predict([member], images, batch_size=args.batch)
+    for i, ((spec, params), mode, subset) in enumerate(
+            zip(loaded, modes, subsets)):
+        images = [s.image for s in subset.samples]
+        probs = predict(spec, params, stack_batch(images, mode), args.batch)
         member_probs.append(probs)
-        top1 = 100.0 * float((probs.argmax(axis=1) == labels).mean())
-        print(f"member{i} top1={top1:.2f} mode={member[2]} ({args.model[i]})")
-    # the same mean ensemble_predict(members) takes, with each member run once
-    probs = sum(member_probs) / len(members)
-    top1 = 100.0 * float((probs.argmax(axis=1) == labels).mean())
-    print(f"ensemble top1={top1:.2f} members={len(members)}")
+        print(f"member{i} top1={top1_percent(probs, labels):.2f} mode={mode} "
+              f"({args.model[i]})")
+    # the mean ensemble_predict(members) takes, with each member run once
+    probs = sum(member_probs) / len(member_probs)
+    print(f"ensemble top1={top1_percent(probs, labels):.2f} "
+          f"members={len(loaded)}")
     return 0
 
 
 def cmd_inspect(args):
-    _print_config(args, ("model",))
+    _print_config(args)
     if len(args.model) != 1:
         raise UsageError("inspect takes exactly one --model")
     path = args.model[0]
@@ -344,8 +351,8 @@ def build_parser():
     en.add_argument("--mode", choices=tuple(MODE_CHANNELS), action="append",
                     default=None,
                     help="member input mode; one value for all members or one "
-                         "per member; default infers from each model's "
-                         "channel count")
+                         "per member; default is the one mode that stacks "
+                         "each model's channel count")
     en.add_argument("--split", choices=("train", "test"), default="test",
                     help="which side of the held-out split to score")
     en.add_argument("--seed", type=_nonneg_int, default=0,

@@ -167,14 +167,13 @@ def chaincode_decompose(gx, gy):
     return planes
 
 
-def gradient_maps(image, spec=None):
+def gradient_maps(image):
     """Sobel gradients decomposed onto 8 chaincode planes, globally rescaled.
 
     The decomposition runs in (east, north) coordinates, so the downward
     image-row gradient is negated first. A single global maximum scales all
     planes together, preserving relative stroke strength across directions.
     """
-    del spec  # one operator, one direction set
     gx, gy = sobel_gradients(image)
     planes = chaincode_decompose(gx, -gy)
     peak = planes.max()
@@ -283,7 +282,7 @@ def canonical_mode(mode):
     return mode
 
 
-def stack_input(image, mode, gabor=None, gradient=None, hog=None):
+def stack_input(image, mode, gabor=None, hog=None):
     """Combine the image and/or its directional planes into network input.
 
     The original bitmap, when present, is always channel 0. Returns a
@@ -301,14 +300,14 @@ def stack_input(image, mode, gabor=None, gradient=None, hog=None):
     if mode in ("original+gabor", "gabor-only"):
         parts.append(gabor_maps(image, gabor))
     elif mode == "original+gradient":
-        parts.append(gradient_maps(image, gradient))
+        parts.append(gradient_maps(image))
     elif mode == "original+hog":
         parts.append(hog_maps(image, hog))
     planes = np.concatenate(parts, axis=0).astype(tc.FLOAT)
     return FeatureStack(planes, mode)
 
 
-def stack_batch(images, mode, gabor=None, gradient=None, hog=None):
+def stack_batch(images, mode, gabor=None, hog=None):
     """stack_input over a batch: [N, H, W] images -> [N, C, H, W] input."""
-    stacks = [stack_input(im, mode, gabor, gradient, hog).planes for im in images]
+    stacks = [stack_input(im, mode, gabor, hog).planes for im in images]
     return np.stack(stacks)

@@ -142,18 +142,16 @@ def _relu_backward(g, x):
     return g * (x > 0)
 
 
-def dropout(x, rate, mode="train", rng=None):
-    """Inverted dropout. Returns (output, mask); mask is None in infer mode.
+def dropout(x, rate, rng):
+    """Inverted dropout. Returns (output, mask); mask is None at rate 0.
 
-    Train mode zeroes each element with probability `rate` and scales
-    survivors by 1/(1-rate) so the expectation is preserved.
+    Zeroes each element with probability `rate` and scales survivors by
+    1/(1-rate) so the expectation is preserved.
     """
     if not 0 <= rate < 1:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode == "infer" or rate == 0:
+    if rate == 0:
         return x, None
-    if mode != "train":
-        raise ValueError(f"unknown dropout mode {mode!r}")
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
     keep = (rng.random(x.shape) >= rate)
@@ -340,7 +338,7 @@ def dropout_taped(tape, x, rate, rng):
     """Train-mode inverted dropout; the identity with no tape or a zero rate."""
     if tape is None or rate == 0:
         return x
-    y, mask = dropout(x.value, rate, "train", rng)
+    y, mask = dropout(x.value, rate, rng)
     out = Node(y)
 
     def backward(g):

@@ -82,12 +82,27 @@ def _batch_ranges(n, batch_size):
     return [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
 
-def _top1_percent(spec, params, x, labels, batch_size):
-    hits = 0
-    for lo, hi in _batch_ranges(len(labels), batch_size):
-        probs, _ = forward_net(spec, params, x[lo:hi], mode="infer")
-        hits += int((probs.argmax(axis=1) == labels[lo:hi]).sum())
+def predict(spec, params, x, batch_size):
+    """Infer-mode probabilities [N, T] of stacked input x, batch by batch."""
+    parts = [forward_net(spec, params, x[lo:hi])[0]
+             for lo, hi in _batch_ranges(len(x), batch_size)]
+    return np.concatenate(parts, axis=0)
+
+
+def top1_percent(probs, labels):
+    """Percent of rows whose most probable class is the label."""
+    hits = int((probs.argmax(axis=1) == labels).sum())
     return 100.0 * hits / len(labels)
+
+
+def check_class_counts(specs, data_class_count=0):
+    """ValueError unless the models share one class count covering the data's."""
+    counts = sorted({spec.class_count for spec in specs})
+    if len(counts) > 1:
+        raise ValueError(f"members disagree on class count: {counts}")
+    if data_class_count > counts[0]:
+        raise ValueError(f"data has {data_class_count} classes, the model "
+                         f"scores {counts[0]}")
 
 
 def train(spec, train_set, config, val_set=None):
@@ -129,11 +144,8 @@ def train(spec, train_set, config, val_set=None):
                             params.velocity)
             loss_sum += loss * len(batch)
         train_loss = loss_sum / len(labels)
-        if val_set is not None:
-            val_top1 = _top1_percent(run_spec, params, val_x, val_labels,
-                                     config.batch_size)
-        else:
-            val_top1 = float("nan")
+        val_top1 = float("nan") if val_set is None else top1_percent(
+            predict(run_spec, params, val_x, config.batch_size), val_labels)
         log.append(TrainLogEntry(epoch, train_loss, val_top1))
         checkpoint = params.copy()
         lr *= config.lr_decay
@@ -168,20 +180,13 @@ def evaluate_topk(spec, params, dataset, ks=(1, 2, 5, 10), mode="original",
             warnings.warn(f"top-{k} requested with only {spec.class_count} "
                           f"classes; reporting 100%")
     x, labels = _stacked_inputs(dataset, mode)
-    hits = {k: 0 for k in ks}
-    loss_sum = 0.0
-    for lo, hi in _batch_ranges(len(labels), batch_size):
-        probs, _ = forward_net(spec, params, x[lo:hi], mode="infer")
-        loss_sum += tc.cross_entropy(probs, labels[lo:hi]) * (hi - lo)
-        ranked = rank_classes(probs)
-        for k in ks:
-            kk = min(k, spec.class_count)
-            hits[k] += int((ranked[:, :kk] == labels[lo:hi, None]).any(axis=1).sum())
+    probs = predict(spec, params, x, batch_size)
+    at_label = rank_classes(probs) == labels[:, None]    # where each label ranks
     n = len(labels)
-    topk = {k: 100.0 * hits[k] / n for k in ks}
+    topk = {k: 100.0 * int(at_label[:, :k].sum()) / n for k in ks}
     size = serialized_size_report(spec)
-    return EvalReport(topk, loss_sum / n, n, size.parameter_count,
-                      size.projected_bytes)
+    return EvalReport(topk, tc.cross_entropy(probs, labels), n,
+                      size.parameter_count, size.projected_bytes)
 
 
 def report_keyvalues(report):
@@ -215,20 +220,10 @@ def ensemble_predict(members, images, batch_size=128):
     """
     if not members:
         raise ValueError("ensemble needs at least one member")
-    class_counts = {m[0].class_count for m in members}
-    if len(class_counts) > 1:
-        raise ValueError(f"members disagree on class count: "
-                         f"{sorted(class_counts)}")
+    check_class_counts([spec for spec, _, _ in members])
     images = list(images)
-    total = None
-    for spec, params, mode in members:
-        x = stack_batch(images, mode)
-        parts = []
-        for lo, hi in _batch_ranges(len(images), batch_size):
-            probs, _ = forward_net(spec, params, x[lo:hi], mode="infer")
-            parts.append(probs)
-        member_probs = np.concatenate(parts, axis=0)
-        total = member_probs if total is None else total + member_probs
+    total = sum(predict(spec, params, stack_batch(images, mode), batch_size)
+                for spec, params, mode in members)
     return total / len(members)
 
 

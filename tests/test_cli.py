@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from hccr.cli import main
+from hccr.network_builder import (
+    build_hccr_alexnet,
+    build_hccr_googlenet,
+    init_weights,
+)
 from hccr.pipeline_data import load_image_dir, load_gnt, read_manifest
 from hccr.tensor_core import read_dtns
+from hccr.train_eval import save_model
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +30,23 @@ def model_path(tmp_path_factory, data_dir):
                "--epochs", "2", "--batch", "8", "--seed", "0",
                "--out", str(path)])
     assert rc == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def gnt_path(tmp_path_factory):
+    """Ten classes of forty glyphs: enough held-out samples to tell presets apart."""
+    path = tmp_path_factory.mktemp("gnt") / "g.gnt"
+    assert main(["synth", "--classes", "10", "--per-class", "40", "--noise",
+                 "0.1", "--seed", "0", "--gnt", str(path)]) == 0
+    return path
+
+
+def seeded_model(path, net="googlenet-small", classes=3, channels=1, seed=1):
+    """Save an untrained model of the given family, class and channel count."""
+    build = build_hccr_googlenet if net.startswith("googlenet") else build_hccr_alexnet
+    spec = build("reference-small", class_count=classes, in_channels=channels)
+    save_model(spec, init_weights(spec, seed), path)
     return path
 
 
@@ -83,6 +106,15 @@ def test_ensemble_mode_count_mismatch(model_path, data_dir, capsys):
     assert "--mode" in capsys.readouterr().err
 
 
+def test_ensemble_nine_channel_model_needs_mode(data_dir, tmp_path, capsys):
+    model = seeded_model(tmp_path / "nine.hcrm", channels=9)
+    rc = main(["ensemble", "--model", str(model), "--data", str(data_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    for mode in ("original+gabor", "original+gradient", "original+hog"):
+        assert mode in err
+
+
 def test_wrong_mode_for_model_exits_2(model_path, data_dir, capsys):
     rc = main(["eval", "--model", str(model_path), "--data", str(data_dir),
                "--mode", "original+gabor"])
@@ -120,6 +152,27 @@ def test_corrupt_model_exits_1(tmp_path, capsys):
 def test_missing_data_dir_exits_1(model_path, capsys):
     rc = main(["eval", "--model", str(model_path), "--data", "no/such/dir"])
     assert rc == 1
+
+
+def test_ensemble_class_count_disagreement_exits_1(gnt_path, tmp_path, capsys):
+    ten = seeded_model(tmp_path / "ten.hcrm", classes=10)
+    seven = seeded_model(tmp_path / "seven.hcrm", classes=7)
+    rc = main(["ensemble", "--model", str(ten), "--model", str(seven),
+               "--gnt", str(gnt_path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert "member" not in out          # fails before scoring any member
+    assert "class count" in err
+
+
+@pytest.mark.parametrize("sub", ["eval", "ensemble"])
+def test_more_data_classes_than_model_exits_1(sub, model_path, gnt_path,
+                                              capsys):
+    rc = main([sub, "--model", str(model_path), "--gnt", str(gnt_path)])
+    assert rc == 1                      # 10 glyph classes, 3-class model
+    out, err = capsys.readouterr()
+    assert "top1=" not in out
+    assert "10 classes" in err
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +249,24 @@ def test_ensemble_runs_and_reports(model_path, data_dir, capsys):
     member = float(out.split("member0 top1=")[1].split()[0])
     combined = float(out.split("ensemble top1=")[1].split()[0])
     assert combined == pytest.approx(member)
+
+
+def test_ensemble_member_top1_equals_eval(gnt_path, tmp_path, capsys):
+    """Each member is preprocessed with its own family's preset, as in eval."""
+    models = [seeded_model(tmp_path / "goog.hcrm", "googlenet-small", 10),
+              seeded_model(tmp_path / "alex.hcrm", "alexnet-small", 10)]
+    data = ["--gnt", str(gnt_path), "--split", "test", "--seed", "0"]
+    assert main(["ensemble", "--model", str(models[0]), "--model",
+                 str(models[1])] + data) == 0
+    out = capsys.readouterr().out
+    members = [line.split()[1] for line in out.splitlines()
+               if line.startswith("member")]
+    alone = []
+    for model in models:
+        assert main(["eval", "--model", str(model)] + data) == 0
+        alone += [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("top1=")]
+    assert members == alone
 
 
 def test_inspect_reports_counts_and_sizes(model_path, capsys):

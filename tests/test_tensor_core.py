@@ -134,27 +134,25 @@ def test_relu_backward_subgradient_zero_at_zero():
 
 def test_dropout_zero_rate_is_identity():
     x = np.ones((4, 4), dtype=np.float32)
-    out, mask = tc.dropout(x, 0.0, "train", np.random.default_rng(0))
+    out, mask = tc.dropout(x, 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(out, x)
     assert mask is None
 
 
 def test_dropout_infer_is_identity():
-    x = np.random.default_rng(0).random((4, 4)).astype(np.float32)
-    out, mask = tc.dropout(x, 0.7, "infer")
-    np.testing.assert_array_equal(out, x)
-    assert mask is None
+    node = tc.Node(np.random.default_rng(0).random((4, 4)).astype(np.float32))
+    assert tc.dropout_taped(None, node, 0.7, None) is node
 
 
 def test_dropout_preserves_expectation():
     x = np.ones(1_000_000, dtype=np.float32)
-    out, _ = tc.dropout(x, 0.5, "train", np.random.default_rng(42))
+    out, _ = tc.dropout(x, 0.5, np.random.default_rng(42))
     assert abs(out.mean() - 1.0) < 0.01
 
 
 def test_dropout_rejects_rate_one():
     with pytest.raises(ValueError):
-        tc.dropout(np.ones(3, np.float32), 1.0, "train", np.random.default_rng(0))
+        tc.dropout(np.ones(3, np.float32), 1.0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .pipeline_data import (
     shuffle_split,
     synth_glyphs,
     write_gnt,
-    write_manifest,
     write_pgm,
 )
 from .train_eval import (
@@ -157,7 +156,6 @@ def cmd_synth(args):
             index = counters.get(sample.class_name, 0)
             counters[sample.class_name] = index + 1
             write_pgm(class_dir / f"{index:04d}.pgm", sample.image)
-        write_manifest(data, root / "manifest.tsv")
         print(f"wrote {len(data.samples)} images in {data.class_count} "
               f"classes under {root}")
     if args.gnt is not None:
@@ -190,10 +188,10 @@ def cmd_eval(args):
     if len(args.model) != 1:
         raise UsageError("eval takes exactly one --model")
     spec, params = load_model(args.model[0])
-    _model_mode(spec, args.mode)
+    mode = _model_mode(spec, args.mode)
     subset, = _eval_subsets(args, [spec])
     report = evaluate_topk(spec, params, subset, ks=(1, 2, 5, 10),
-                           mode=args.mode, batch_size=args.batch)
+                           mode=mode, batch_size=args.batch)
     print(report_keyvalues(report))
     print(report_table(report))
     return 0
@@ -293,7 +291,7 @@ def build_parser():
     synth.add_argument("--seed", type=_nonneg_int, default=0,
                        help="generation seed")
     synth.add_argument("--out", metavar="PATH", default=None,
-                       help="directory for per-class PGM folders + manifest")
+                       help="directory for per-class PGM folders")
     synth.add_argument("--gnt", metavar="PATH", default=None,
                        help="also write the dataset as one GNT file")
     synth.set_defaults(func=cmd_synth)
@@ -324,8 +322,10 @@ def build_parser():
     ev.add_argument("--model", metavar="PATH", action="append", required=True,
                     help="saved model file")
     _add_data_flags(ev)
-    ev.add_argument("--mode", choices=tuple(MODE_CHANNELS), default="original",
-                    help="input feature stacking (must match the model)")
+    ev.add_argument("--mode", choices=tuple(MODE_CHANNELS), default=None,
+                    help="input feature stacking (must match the model); "
+                         "default is the one mode that stacks the model's "
+                         "channel count")
     ev.add_argument("--split", choices=("train", "test"), default="test",
                     help="which side of the held-out split to score")
     ev.add_argument("--seed", type=_nonneg_int, default=0,

@@ -271,18 +271,16 @@ MODE_CHANNELS = {
     "original+hog": 9,
     "gabor-only": 8,
 }
-_MODE_ALIASES = {"original-only": "original"}
 
 
 def canonical_mode(mode):
-    mode = _MODE_ALIASES.get(mode, mode)
     if mode not in MODE_CHANNELS:
         known = ", ".join(sorted(MODE_CHANNELS))
         raise ValueError(f"unknown input mode {mode!r} (expected one of {known})")
     return mode
 
 
-def stack_input(image, mode, gabor=None, hog=None):
+def stack_input(image, mode):
     """Combine the image and/or its directional planes into network input.
 
     The original bitmap, when present, is always channel 0. Returns a
@@ -298,16 +296,16 @@ def stack_input(image, mode, gabor=None, hog=None):
     if mode != "gabor-only":
         parts.append(image[None])
     if mode in ("original+gabor", "gabor-only"):
-        parts.append(gabor_maps(image, gabor))
+        parts.append(gabor_maps(image))
     elif mode == "original+gradient":
         parts.append(gradient_maps(image))
     elif mode == "original+hog":
-        parts.append(hog_maps(image, hog))
+        parts.append(hog_maps(image))
     planes = np.concatenate(parts, axis=0).astype(tc.FLOAT)
     return FeatureStack(planes, mode)
 
 
-def stack_batch(images, mode, gabor=None, hog=None):
+def stack_batch(images, mode):
     """stack_input over a batch: [N, H, W] images -> [N, C, H, W] input."""
-    stacks = [stack_input(im, mode, gabor, hog).planes for im in images]
+    stacks = [stack_input(im, mode).planes for im in images]
     return np.stack(stacks)

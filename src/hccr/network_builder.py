@@ -222,15 +222,6 @@ class NetworkSpec:
     class_count: int
 
 
-def build_inception(spec, in_channels):
-    """Validated inception layer for the given input channel count."""
-    if in_channels < 1:
-        raise ValueError(f"in_channels must be >= 1, got {in_channels}")
-    if not isinstance(spec, InceptionSpec):
-        spec = InceptionSpec(*spec)
-    return Inception(spec)
-
-
 # ---------------------------------------------------------------------------
 # shape inference and validation
 
@@ -289,9 +280,6 @@ class ParamStore:
 
     def __getitem__(self, name):
         return self.tensors[name]
-
-    def __contains__(self, name):
-        return name in self.tensors
 
     def keys(self):
         return self.tensors.keys()
@@ -360,58 +348,45 @@ ALEXNET_FULL_CONVS = (96, 256, 384, 384, 256)
 ALEXNET_FULL_FC = (1024, 1024)
 
 SMALL_DIVISOR = 8
+DROPOUT_RATE = 0.5      # stored in the spec; training may override it
 
 
-def build_hccr_googlenet(scale="reference-full", *, class_count=None, in_channels=1,
-                         input_size=None, inception_widths=None, head="flatten",
-                         dropout_rate=0.5):
+def build_hccr_googlenet(scale="reference-full", *, class_count=None, in_channels=1):
     """Inception network: conv stem, 4 inception modules, 3 interleaved pools.
 
     reference-full takes 120x120 input and lands near 7.26M parameters at
     3755 classes; reference-small divides every width by 8 and takes 32x32
-    input for desk-scale training. Pass inception_widths (4 InceptionSpec)
-    to override the module widths at either scale.
+    input for desk-scale training.
     """
     if scale == "reference-full":
         stem, tail = GOOGLENET_FULL_STEM, GOOGLENET_FULL_TAIL
         incs = GOOGLENET_FULL_INCEPTIONS
-        input_size = input_size or 120
+        input_size = 120
         class_count = class_count or 3755
     elif scale == "reference-small":
         stem = tuple(max(1, math.ceil(v / SMALL_DIVISOR)) for v in GOOGLENET_FULL_STEM)
         tail = tuple(max(1, math.ceil(v / SMALL_DIVISOR)) for v in GOOGLENET_FULL_TAIL)
         incs = tuple(s.scaled(SMALL_DIVISOR) for s in GOOGLENET_FULL_INCEPTIONS)
-        input_size = input_size or 32
+        input_size = 32
         class_count = class_count or 10
     else:
         raise ValueError(f"unknown scale {scale!r}")
-    if input_size < 32:
-        raise ShapeError(f"input size {input_size} is below the 32-pixel minimum")
-    if inception_widths is not None:
-        incs = tuple(build_inception(w, 1).spec for w in inception_widths)
-        if len(incs) != 4:
-            raise ValueError("expected exactly 4 inception width specs")
 
-    layers = [
+    layers = (
         Conv(stem[0], 7, stride=2, pad=3), ReLU(), MaxPool(3, 2, 1),
         Conv(stem[1], 1), ReLU(), Conv(stem[2], 3, pad=1), ReLU(), MaxPool(3, 2, 1),
         Inception(incs[0]), Inception(incs[1]), MaxPool(3, 2, 1),
         Inception(incs[2]), Inception(incs[3]),
         Conv(tail[0], 3, stride=2, pad=1), ReLU(),
         Conv(tail[1], 3, stride=2, pad=1), ReLU(),
-    ]
-    if head == "gap":
-        layers.append(GlobalAvgPool())
-    elif head != "flatten":
-        raise ValueError(f"unknown head {head!r}")
-    layers += [Dropout(dropout_rate), FullyConnected(class_count), Softmax()]
-    spec = NetworkSpec((in_channels, input_size, input_size), tuple(layers), class_count)
+        Dropout(DROPOUT_RATE), FullyConnected(class_count), Softmax(),
+    )
+    spec = NetworkSpec((in_channels, input_size, input_size), layers, class_count)
     validate_spec(spec)
     return spec
 
 
-def build_hccr_alexnet(scale="reference-full", *, class_count=None, in_channels=1,
-                       input_size=None, dropout_rate=0.5):
+def build_hccr_alexnet(scale="reference-full", *, class_count=None, in_channels=1):
     """Eight weighted layers: five convolutional, three fully connected.
 
     Max pooling follows conv groups 1, 2 and 5; dropout precedes the first
@@ -419,17 +394,15 @@ def build_hccr_alexnet(scale="reference-full", *, class_count=None, in_channels=
     """
     if scale == "reference-full":
         convs, fcs = ALEXNET_FULL_CONVS, ALEXNET_FULL_FC
-        input_size = input_size or 114
+        input_size = 114
         class_count = class_count or 3755
     elif scale == "reference-small":
         convs = tuple(max(1, math.ceil(v / SMALL_DIVISOR)) for v in ALEXNET_FULL_CONVS)
         fcs = tuple(max(1, math.ceil(v / SMALL_DIVISOR)) for v in ALEXNET_FULL_FC)
-        input_size = input_size or 32
+        input_size = 32
         class_count = class_count or 10
     else:
         raise ValueError(f"unknown scale {scale!r}")
-    if input_size < 32:
-        raise ShapeError(f"input size {input_size} is below the 32-pixel minimum")
 
     layers = (
         Conv(convs[0], 7, stride=2, pad=3), ReLU(), MaxPool(3, 2, 1),
@@ -437,8 +410,8 @@ def build_hccr_alexnet(scale="reference-full", *, class_count=None, in_channels=
         Conv(convs[2], 3, pad=1), ReLU(),
         Conv(convs[3], 3, pad=1), ReLU(),
         Conv(convs[4], 3, pad=1), ReLU(), MaxPool(3, 2, 1),
-        Dropout(dropout_rate), FullyConnected(fcs[0]), ReLU(),
-        Dropout(dropout_rate), FullyConnected(fcs[1]), ReLU(),
+        Dropout(DROPOUT_RATE), FullyConnected(fcs[0]), ReLU(),
+        Dropout(DROPOUT_RATE), FullyConnected(fcs[1]), ReLU(),
         FullyConnected(class_count), Softmax(),
     )
     spec = NetworkSpec((in_channels, input_size, input_size), layers, class_count)

@@ -30,7 +30,6 @@ class PreprocSpec:
     """Inner resize target and outer mask size, with margins split evenly."""
     target: int
     mask: int
-    invert: bool = True
 
     def __post_init__(self):
         if self.target < 1:
@@ -58,8 +57,6 @@ PREPROC_PRESETS = {
 class Dataset:
     samples: list
     class_names: tuple          # dense index -> name
-    background: str = "light"   # dominant ground of the raw images
-    skipped: int = 0
 
     @property
     def class_count(self):
@@ -75,8 +72,7 @@ class Dataset:
         return np.array([s.label for s in self.samples], dtype=np.int64)
 
     def subset(self, indices):
-        return Dataset([self.samples[i] for i in indices], self.class_names,
-                       self.background, 0)
+        return Dataset([self.samples[i] for i in indices], self.class_names)
 
 
 # ---------------------------------------------------------------------------
@@ -139,27 +135,15 @@ def center_pad(image, mask):
 
 def preprocess(sample, spec):
     """invert -> resize to target -> center-pad into the mask."""
-    image = np.asarray(sample.image, dtype=tc.FLOAT)
-    if spec.invert:
-        image = invert_gray(image)
+    image = invert_gray(sample.image)
     image = resize_bilinear(image, spec.target)
     image = center_pad(image, spec.mask)
     return replace(sample, image=image)
 
 
 def preprocess_dataset(dataset, spec):
-    samples = [preprocess(s, spec) for s in dataset.samples]
-    background = "dark" if spec.invert else dataset.background
-    return Dataset(samples, dataset.class_names, background, dataset.skipped)
-
-
-def detect_background(images):
-    """"light" or "dark", by the mean border pixel across the images."""
-    border_means = []
-    for image in images:
-        border = np.concatenate([image[0], image[-1], image[:, 0], image[:, -1]])
-        border_means.append(border.mean())
-    return "light" if np.mean(border_means) > 0.5 else "dark"
+    return Dataset([preprocess(s, spec) for s in dataset.samples],
+                   dataset.class_names)
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +153,7 @@ def load_gnt(path):
     """Read GNT records: u32 size, 2-byte tag, u16 width, u16 height, pixels.
 
     All integers little-endian; size must equal 10 + width*height. Gray
-    bytes are kept as stored (scaled to [0,1], no polarity flip); the
-    file's background polarity is auto-detected and recorded on the
-    Dataset so later preprocessing can decide whether to invert.
+    bytes are kept as stored, scaled to [0,1].
     """
     data = Path(path).read_bytes()
     samples = []
@@ -199,8 +181,7 @@ def load_gnt(path):
             class_names.append(name)
         samples.append(Sample(image, names[name], name))
         offset += size
-    background = detect_background([s.image for s in samples]) if samples else "light"
-    return Dataset(samples, tuple(class_names), background)
+    return Dataset(samples, tuple(class_names))
 
 
 def write_gnt(dataset, path):
@@ -274,7 +255,7 @@ def load_image_dir(root):
     """One subdirectory per class, holding P5 images.
 
     Class names are the subdirectory names in lexicographic order, giving
-    dense indices. Unreadable images are skipped and counted.
+    dense indices. Unreadable images are skipped with a warning.
     """
     root = Path(root)
     class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
@@ -294,24 +275,7 @@ def load_image_dir(root):
             samples.append(Sample(image, index, class_dir.name))
     if skipped:
         warnings.warn(f"skipped {skipped} unreadable image(s) under {root}")
-    background = detect_background([s.image for s in samples]) if samples else "light"
-    return Dataset(samples, tuple(d.name for d in class_dirs), background, skipped)
-
-
-def write_manifest(dataset, path):
-    lines = [f"{name}\t{index}" for index, name in enumerate(dataset.class_names)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_manifest(path):
-    """class name -> index mapping from tab-separated manifest lines."""
-    mapping = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        name, index = line.rsplit("\t", 1)
-        mapping[name] = int(index)
-    return mapping
+    return Dataset(samples, tuple(d.name for d in class_dirs))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +370,7 @@ def synth_glyphs(class_count, samples_per_class, noise=0.0, seed=0):
                     image + rng.uniform(-noise, noise, image.shape), 0, 1
                 ).astype(tc.FLOAT)
             samples.append(Sample(image, label, class_names[label]))
-    return Dataset(samples, class_names, background="light")
+    return Dataset(samples, class_names)
 
 
 # ---------------------------------------------------------------------------

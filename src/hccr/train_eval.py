@@ -10,7 +10,7 @@ topology followed by the raw float32 parameters in canonical order.
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .network_builder import (
 
 MODEL_MAGIC = b"HCRM"
 MODEL_VERSION = 1
+LR_DECAY = 0.95         # per-epoch learning-rate multiplier
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 64
     lr: float = 0.01
-    lr_decay: float = 0.95
     momentum: float = 0.9
     dropout: float = 0.5
     seed: int = 0
@@ -51,8 +51,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if not 0 <= self.lr_decay <= 1:
-            raise ValueError(f"lr_decay must be in [0, 1], got {self.lr_decay}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0 <= self.dropout < 1:
@@ -148,7 +146,7 @@ def train(spec, train_set, config, val_set=None):
             predict(run_spec, params, val_x, config.batch_size), val_labels)
         log.append(TrainLogEntry(epoch, train_loss, val_top1))
         checkpoint = params.copy()
-        lr *= config.lr_decay
+        lr *= LR_DECAY
     return params, log
 
 
@@ -291,17 +289,10 @@ def load_model(path):
 class SizeReport:
     parameter_count: int
     projected_bytes: int        # exact save_model output size
-    weights_bytes: int          # 4 bytes per parameter
     human: str
-
-    def __str__(self):
-        return (f"{self.parameter_count:,} parameters, "
-                f"{self.projected_bytes:,} bytes ({self.human})")
 
 
 def serialized_size_report(spec):
     count = count_parameters(spec)
-    header = 16 + len(spec_to_bytes(spec))
-    weights = 4 * count
-    total = header + weights
-    return SizeReport(count, total, weights, f"{total / 2 ** 20:.2f} MiB")
+    total = 16 + len(spec_to_bytes(spec)) + 4 * count
+    return SizeReport(count, total, f"{total / 2 ** 20:.2f} MiB")

@@ -9,7 +9,7 @@ from hccr.network_builder import (
     build_hccr_googlenet,
     init_weights,
 )
-from hccr.pipeline_data import load_image_dir, load_gnt, read_manifest
+from hccr.pipeline_data import load_image_dir, load_gnt
 from hccr.tensor_core import read_dtns
 from hccr.train_eval import save_model
 
@@ -108,11 +108,12 @@ def test_ensemble_mode_count_mismatch(model_path, data_dir, capsys):
 
 def test_ensemble_nine_channel_model_needs_mode(data_dir, tmp_path, capsys):
     model = seeded_model(tmp_path / "nine.hcrm", channels=9)
-    rc = main(["ensemble", "--model", str(model), "--data", str(data_dir)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    for mode in ("original+gabor", "original+gradient", "original+hog"):
-        assert mode in err
+    for sub in ("ensemble", "eval"):
+        rc = main([sub, "--model", str(model), "--data", str(data_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        for mode in ("original+gabor", "original+gradient", "original+hog"):
+            assert mode in err
 
 
 def test_wrong_mode_for_model_exits_2(model_path, data_dir, capsys):
@@ -180,10 +181,9 @@ def test_more_data_classes_than_model_exits_1(sub, model_path, gnt_path,
 
 def test_synth_writes_tree_and_manifest(data_dir):
     data = load_image_dir(data_dir)
-    assert data.class_count == 3
+    assert data.class_names == ("AA", "AB", "AC")
     assert len(data.samples) == 36
-    mapping = read_manifest(data_dir / "manifest.tsv")
-    assert mapping == {"AA": 0, "AB": 1, "AC": 2}
+    assert not (data_dir / "manifest.tsv").exists()
 
 
 def test_synth_gnt_round_trip(tmp_path, capsys):
@@ -235,6 +235,18 @@ def test_eval_reports_topk(model_path, data_dir, capsys):
                 "serialized_bytes="):
         assert key in out
     assert "Top1" in out                         # human table too
+
+
+def test_eval_defaults_to_the_mode_of_the_model(data_dir, tmp_path, capsys):
+    """An 8-channel model is scored as gabor-only with no --mode, as in ensemble."""
+    model = seeded_model(tmp_path / "eight.hcrm", channels=8)
+    top1 = []
+    for extra in ([], ["--mode", "gabor-only"]):
+        assert main(["eval", "--model", str(model), "--data", str(data_dir)]
+                    + extra) == 0
+        top1 += [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("top1=")]
+    assert len(top1) == 2 and top1[0] == top1[1]
 
 
 def test_ensemble_runs_and_reports(model_path, data_dir, capsys):

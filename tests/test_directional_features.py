@@ -11,7 +11,6 @@ from hccr.directional_features import (
     GaborBankSpec,
     HogSpec,
     MODE_CHANNELS,
-    canonical_mode,
     chaincode_decompose,
     gabor_bank,
     gabor_kernel,
@@ -279,7 +278,6 @@ def test_stack_gabor_only_excludes_bitmap():
 
 
 def test_stack_mode_alias_and_unknown():
-    assert canonical_mode("original-only") == "original"
     with pytest.raises(ValueError, match="unknown input mode"):
         stack_input(np.zeros((32, 32), dtype=np.float32), "sobel")
 

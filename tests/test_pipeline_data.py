@@ -7,23 +7,18 @@ import pytest
 
 from hccr.pipeline_data import (
     PREPROC_PRESETS,
-    Dataset,
     PreprocSpec,
     Sample,
     center_pad,
-    detect_background,
     invert_gray,
     load_gnt,
     load_image_dir,
     preprocess,
-    preprocess_dataset,
-    read_manifest,
     read_pgm,
     resize_bilinear,
     shuffle_split,
     synth_glyphs,
     write_gnt,
-    write_manifest,
     write_pgm,
 )
 
@@ -163,28 +158,12 @@ def test_preprocess_white_background_becomes_zero_margin():
     assert out.image.min() >= 0.0 and out.image.max() <= 1.0
 
 
-def test_preprocess_no_invert():
-    image = np.full((10, 10), 0.25, dtype=np.float32)
-    spec = PreprocSpec(28, 32, invert=False)
-    out = preprocess(Sample(image, 0, "aa"), spec)
-    assert out.image[16, 16] == pytest.approx(0.25, abs=1e-6)
-    assert out.image[0, 0] == 0.0
-
-
 def test_preprocess_deterministic():
     rng = np.random.default_rng(7)
     sample = Sample(rng.random((41, 53), dtype=np.float32), 1, "ab")
     a = preprocess(sample, PREPROC_PRESETS["alexnet-small"])
     b = preprocess(sample, PREPROC_PRESETS["alexnet-small"])
     np.testing.assert_array_equal(a.image, b.image)
-
-
-def test_preprocess_dataset_flips_background_tag():
-    ds = synth_glyphs(3, 2, 0.0, seed=0)
-    assert ds.background == "light"
-    out = preprocess_dataset(ds, PREPROC_PRESETS["googlenet-small"])
-    assert out.background == "dark"
-    assert all(s.image.shape == (32, 32) for s in out.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +229,6 @@ def test_gnt_round_trip_byte_exact(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_gnt_polarity_detection(tmp_path):
-    dark = tmp_path / "dark.gnt"
-    write_gnt(Dataset([Sample(np.zeros((9, 9), dtype=np.float32), 0, "AA")],
-                      ("AA",)), dark)
-    assert load_gnt(dark).background == "dark"
-    light = tmp_path / "light.gnt"
-    write_gnt(Dataset([Sample(np.ones((9, 9), dtype=np.float32), 0, "AA")],
-                      ("AA",)), light)
-    assert load_gnt(light).background == "light"
-
-
 # ---------------------------------------------------------------------------
 # PGM and labeled directories
 
@@ -317,21 +285,12 @@ def test_load_image_dir_skips_unreadable(tmp_path):
     (tmp_path / "a" / "junk.pgm").write_bytes(b"not an image")
     with pytest.warns(UserWarning, match="skipped 1"):
         ds = load_image_dir(tmp_path)
-    assert ds.skipped == 1
     assert len(ds) == 4
 
 
 def test_load_image_dir_empty_root(tmp_path):
     with pytest.raises(ValueError, match="no class subdirectories"):
         load_image_dir(tmp_path)
-
-
-def test_manifest_round_trip(tmp_path):
-    ds = synth_glyphs(5, 2, 0.0, seed=0)
-    path = tmp_path / "classes.tsv"
-    write_manifest(ds, path)
-    mapping = read_manifest(path)
-    assert mapping == {name: i for i, name in enumerate(ds.class_names)}
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +312,9 @@ def test_synth_images_light_background():
     for s in ds.samples:
         assert s.image.shape == (48, 48)
         assert s.image.min() >= 0.0 and s.image.max() <= 1.0
-    assert detect_background([s.image for s in ds.samples]) == "light"
-    assert ds.background == "light"
+        border = np.concatenate([s.image[0], s.image[-1],
+                                 s.image[:, 0], s.image[:, -1]])
+        assert border.mean() > 0.5
 
 
 def test_synth_within_class_variation():

@@ -12,10 +12,13 @@ from hccr.network_builder import (
     NetworkSpec,
     ReLU,
     Softmax,
+    count_parameters,
     init_weights,
+    spec_to_bytes,
 )
 from hccr.pipeline_data import PreprocSpec, preprocess_dataset, shuffle_split, synth_glyphs
 from hccr.train_eval import (
+    LR_DECAY,
     EvalReport,
     TrainConfig,
     TrainLogEntry,
@@ -63,14 +66,14 @@ def test_config_defaults():
     cfg = TrainConfig()
     assert cfg.batch_size == 64
     assert cfg.lr == pytest.approx(0.01)
-    assert cfg.lr_decay == pytest.approx(0.95)
+    assert LR_DECAY == pytest.approx(0.95)
     assert cfg.momentum == pytest.approx(0.9)
 
 
 @pytest.mark.parametrize("kwargs", [
     {"batch_size": 0},
     {"lr": -0.1},
-    {"lr_decay": 1.5},
+    {"momentum": -0.1},
     {"momentum": 1.0},
     {"dropout": 1.0},
     {"epochs": -1},
@@ -310,10 +313,8 @@ def test_weights_section_is_four_bytes_per_parameter(tmp_path):
     params = init_weights(spec, 0)
     path = tmp_path / "m.hcrm"
     written = save_model(spec, params, path)
-    size = serialized_size_report(spec)
-    assert size.weights_bytes == 4 * size.parameter_count
-    assert written - size.weights_bytes == written - 4 * size.parameter_count
-    assert written == size.projected_bytes
+    assert written - 16 - len(spec_to_bytes(spec)) == 4 * count_parameters(spec)
+    assert written == serialized_size_report(spec).projected_bytes
 
 
 def test_load_rejects_corruption(tmp_path):

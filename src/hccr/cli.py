@@ -14,7 +14,6 @@ from pathlib import Path
 from . import tensor_core as tc
 from .directional_features import (
     MODE_CHANNELS,
-    canonical_mode,
     stack_batch,
     stack_input,
 )
@@ -92,7 +91,7 @@ def _load_raw(args):
 
 
 def _build_net(name, class_count, mode):
-    channels = MODE_CHANNELS[canonical_mode(mode)]
+    channels = MODE_CHANNELS[mode]
     family, size = name.rsplit("-", 1)
     scale = f"reference-{size}"
     if family == "googlenet":
@@ -130,7 +129,7 @@ def _model_mode(spec, mode):
             raise UsageError(f"a {channels}-channel model needs --mode (modes "
                              f"stacking {channels}: {', '.join(fits) or 'none'})")
         return fits[0]
-    stacked = MODE_CHANNELS[canonical_mode(mode)]
+    stacked = MODE_CHANNELS[mode]
     if stacked != channels:
         raise UsageError(f"--mode {mode} stacks {stacked} channel(s) but the "
                          f"model expects {channels}")
@@ -190,8 +189,9 @@ def cmd_eval(args):
     spec, params = load_model(args.model[0])
     mode = _model_mode(spec, args.mode)
     subset, = _eval_subsets(args, [spec])
-    report = evaluate_topk(spec, params, subset, ks=(1, 2, 5, 10),
-                           mode=mode, batch_size=args.batch)
+    ks = [k for k in (1, 2, 5, 10) if k <= spec.class_count]
+    report = evaluate_topk(spec, params, subset, ks, mode=mode,
+                           batch_size=args.batch)
     print(report_keyvalues(report))
     print(report_table(report))
     return 0

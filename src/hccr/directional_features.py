@@ -273,20 +273,15 @@ MODE_CHANNELS = {
 }
 
 
-def canonical_mode(mode):
-    if mode not in MODE_CHANNELS:
-        known = ", ".join(sorted(MODE_CHANNELS))
-        raise ValueError(f"unknown input mode {mode!r} (expected one of {known})")
-    return mode
-
-
 def stack_input(image, mode):
     """Combine the image and/or its directional planes into network input.
 
     The original bitmap, when present, is always channel 0. Returns a
     FeatureStack whose plane count matches MODE_CHANNELS[mode].
     """
-    mode = canonical_mode(mode)
+    if mode not in MODE_CHANNELS:
+        known = ", ".join(sorted(MODE_CHANNELS))
+        raise ValueError(f"unknown input mode {mode!r} (expected one of {known})")
     image = np.asarray(image, dtype=tc.FLOAT)
     if image.ndim != 2:
         raise tc.ShapeError(f"expected a 2-d grayscale image, got {image.shape}")

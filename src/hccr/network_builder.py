@@ -431,7 +431,8 @@ def with_dropout_rate(spec, rate):
 def _forward_logits(spec, params, x, tape, rng):
     """Run every layer before the terminal softmax, recording on `tape` if given.
 
-    Returns the logits node. Every parameter is registered on the tape.
+    Returns the logits node. The tape gets every parameter, and the input
+    batch as an input that needs no gradient.
     """
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[1:] != tuple(spec.input_shape):
@@ -442,9 +443,10 @@ def _forward_logits(spec, params, x, tape, rng):
         raise ShapeError("spec must end with a softmax")
     tensors = params.tensors if isinstance(params, ParamStore) else params
     nodes = {k: Node(v) for k, v in tensors.items()}
+    cur = Node(x)
     if tape is not None:
         tape.params = nodes
-    cur = Node(x)
+        tape.inputs = (cur,)
     for i, layer in enumerate(body):
         name = _layer_name(i, layer)
         try:

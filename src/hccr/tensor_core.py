@@ -6,7 +6,9 @@ checking gets its extra headroom. Layout for image tensors is NCHW,
 row-major.
 """
 
+import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,22 +35,15 @@ def conv_output_extent(size, kernel, stride, pad):
     return out
 
 
-def _windows(x, kh, kw, stride, pad, fill=0.0):
-    """Sliding windows of a padded NCHW tensor, shape (N, C, Ho, Wo, kh, kw).
-
-    Returns a strided view plus the padded array it points into.
-    """
+def _windows(x, kh, kw, stride, pad):
+    """Strided view of the sliding windows of a zero-padded NCHW tensor,
+    shape (N, C, Ho, Wo, kh, kw)."""
     n, c, h, w = x.shape
     ho = conv_output_extent(h, kh, stride, pad)
     wo = conv_output_extent(w, kw, stride, pad)
-    if pad:
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                    constant_values=fill)
-    else:
-        xp = x
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     view = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    view = view[:, :, ::stride, ::stride][:, :, :ho, :wo]
-    return view, xp
+    return view[:, :, ::stride, ::stride][:, :, :ho, :wo]
 
 
 def conv2d(x, w, b, stride=1, pad=0):
@@ -66,25 +61,28 @@ def conv2d(x, w, b, stride=1, pad=0):
         raise ShapeError(f"input has {c} channels but weights expect {cw}")
     if b.shape != (f,):
         raise ShapeError(f"bias shape {b.shape} does not match {f} filters")
-    view, _ = _windows(x, kh, kw, stride, pad)
+    view = _windows(x, kh, kw, stride, pad)
     ho, wo = view.shape[2], view.shape[3]
-    # one GEMM: (N*Ho*Wo, C*Kh*Kw) @ (C*Kh*Kw, F)
-    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
-    out = cols @ w.reshape(f, c * kh * kw).T
+    # one GEMM: (N*Ho*Wo, C*Kh*Kw) @ (C*Kh*Kw, F), on an unfold freed right after
+    out = (view.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
+           @ w.reshape(f, c * kh * kw).T)
     out += b
     return out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2).copy()
 
 
-def _conv2d_backward(g, x, w, stride, pad):
-    """Gradients of conv2d w.r.t. (input, weights, bias) given upstream g[N,F,Ho,Wo]."""
+def _conv2d_backward(g, x, w, stride, pad, need_dx=True):
+    """Gradients of conv2d w.r.t. (input, weights, bias) given upstream
+    g[N,F,Ho,Wo]; the input's is None, and costs nothing, unless need_dx."""
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     ho, wo = g.shape[2], g.shape[3]
-    view, _ = _windows(x, kh, kw, stride, pad)
+    view = _windows(x, kh, kw, stride, pad)
     gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
     cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
     dw = (gmat.T @ cols).reshape(f, c, kh, kw)
     db = gmat.sum(axis=0)
+    if not need_dx:
+        return None, dw, db
     dcols = (gmat @ w.reshape(f, c * kh * kw)).reshape(n, ho, wo, c, kh, kw)
     dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
     for i in range(kh):
@@ -95,42 +93,51 @@ def _conv2d_backward(g, x, w, stride, pad):
     return dx, dw, db
 
 
-def maxpool2d(x, window, stride, pad=0):
-    """Max over each window; ties go to the first row-major position.
+def _pool_slices(window, stride, ho, wo):
+    """Row-major slices of an H,W grid; slice (i, j) is cell (i, j) of every window."""
+    return [(slice(i, i + stride * (ho - 1) + 1, stride),
+             slice(j, j + stride * (wo - 1) + 1, stride))
+            for i in range(window) for j in range(window)]
 
-    Returns (output, saved). Padding cells are -inf and can never win.
-    `saved` is (flat, input_shape, pad), where flat[N,C,Ho,Wo] holds each
-    winner's index into its padded plane; maxpool2d_backward takes it.
-    """
+
+def maxpool2d(x, window, stride, pad=0):
+    """Max over each window: a running maximum over the window**2 slices of
+    a -inf-padded channel-last copy [H, W, N, C], whose slices are long
+    contiguous runs. Returns (output, saved for maxpool2d_backward)."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects a 4-D tensor, got {x.shape}")
     if window < 1:
         raise ShapeError(f"window must be >= 1, got {window}")
     n, c, h, w = x.shape
-    view, _ = _windows(x, window, window, stride, pad, fill=-np.inf)
-    ho, wo = view.shape[2], view.shape[3]
-    flatwin = view.reshape(n, c, ho, wo, window * window)
-    arg = flatwin.argmax(axis=4)
-    out = np.take_along_axis(flatwin, arg[..., None], axis=4)[..., 0]
-    # convert window-local winners to positions in the padded plane
-    oy = np.arange(ho)[:, None] * stride
-    ox = np.arange(wo)[None, :] * stride
-    wy, wx = arg // window, arg % window
-    wp = w + 2 * pad
-    flat = (oy[None, None] + wy) * wp + (ox[None, None] + wx)
-    return np.ascontiguousarray(out), (flat, x.shape, pad)
+    ho = conv_output_extent(h, window, stride, pad)
+    wo = conv_output_extent(w, window, stride, pad)
+    xl = np.full((h + 2 * pad, w + 2 * pad, n, c), -np.inf, dtype=x.dtype)
+    xl[pad:pad + h, pad:pad + w] = x.transpose(2, 3, 0, 1)
+    first, *rest = _pool_slices(window, stride, ho, wo)
+    out = xl[first].copy()
+    for s in rest:
+        np.maximum(out, xl[s], out=out)
+    y = np.ascontiguousarray(out.transpose(2, 3, 0, 1))
+    return y, (xl, out, window, stride, pad)
 
 
 def maxpool2d_backward(g, saved):
-    """Scatter each upstream element onto its saved argmax position."""
-    flat, (n, c, h, w), pad = saved
-    hp, wp = h + 2 * pad, w + 2 * pad
-    dxp = np.zeros((n, c, hp * wp), dtype=g.dtype)
-    np.add.at(dxp, (np.arange(n)[:, None, None, None],
-                    np.arange(c)[None, :, None, None],
-                    flat), g)
-    dxp = dxp.reshape(n, c, hp, wp)
-    return dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
+    """Give each upstream element to the first row-major cell of its window
+    that holds the max. A cell shared by overlapping windows sums them in
+    output row-major order, the reverse of slice order. A non-finite
+    upstream element also puts NaN in the other cells of its window."""
+    xl, out, window, stride, pad = saved
+    slices = _pool_slices(window, stride, *out.shape[:2])
+    free, wins = np.ones(out.shape, dtype=bool), []     # free: no winner yet
+    for s in slices:
+        wins.append((xl[s] == out) & free)
+        free ^= wins[-1]
+    gl = np.ascontiguousarray(g.transpose(2, 3, 0, 1))
+    dl = np.zeros(xl.shape, dtype=g.dtype)
+    for s, win in zip(reversed(slices), reversed(wins)):
+        dl[s] += gl * win
+    hp, wp = xl.shape[:2]
+    return np.ascontiguousarray(dl[pad:hp - pad, pad:wp - pad].transpose(2, 3, 0, 1))
 
 
 def relu(x):
@@ -182,10 +189,6 @@ def fully_connected(x, w, b):
     if b.shape != (w.shape[0],):
         raise ShapeError(f"bias shape {b.shape} does not match {w.shape[0]} outputs")
     return x @ w.T + b
-
-
-def _fully_connected_backward(g, x, w):
-    return g @ w, g.T @ x, g.sum(axis=0)
 
 
 def softmax(logits):
@@ -259,6 +262,7 @@ class Tape:
         self._records = []      # (op name, inputs, output node, backward fn)
         self._consumed = False
         self.params = {}        # name -> Node, registered by the network runner
+        self.inputs = ()        # leaves whose gradient nobody reads; ops may skip it
         self.output = None      # terminal node of the forward pass
 
     def record(self, name, inputs, output, backward):
@@ -307,10 +311,12 @@ def _record(tape, name, inputs, output, backward):
 
 def conv2d_taped(tape, x, w, b, stride=1, pad=0):
     out = Node(conv2d(x.value, w.value, b.value, stride, pad))
+    need_dx = tape is not None and x not in tape.inputs  # no tape in the closure
 
     def backward(g):
-        dx, dw, db = _conv2d_backward(g, x.value, w.value, stride, pad)
-        return [(x, dx), (w, dw), (b, db)]
+        dx, dw, db = _conv2d_backward(g, x.value, w.value, stride, pad, need_dx)
+        grads = [(w, dw), (b, db)]
+        return grads if dx is None else [(x, dx)] + grads
 
     return _record(tape, "conv2d", (x, w, b), out, backward)
 
@@ -364,8 +370,7 @@ def fully_connected_taped(tape, x, w, b):
     out = Node(fully_connected(flat, w.value, b.value))
 
     def backward(g):
-        dx, dw, db = _fully_connected_backward(g, flat, w.value)
-        return [(x, dx.reshape(shape)), (w, dw), (b, db)]
+        return [(x, (g @ w.value).reshape(shape)), (w, g.T @ flat), (b, g.sum(axis=0))]
 
     return _record(tape, "fully_connected", (x, w, b), out, backward)
 
@@ -405,22 +410,15 @@ def softmax_cross_entropy_taped(tape, logits, labels):
 # ---------------------------------------------------------------------------
 # gradient checking
 
+@dataclass(frozen=True)
 class GradCheckReport:
-    __slots__ = ("max_rel_error", "checked", "tolerance")
-
-    def __init__(self, max_rel_error, checked, tolerance):
-        self.max_rel_error = max_rel_error
-        self.checked = checked
-        self.tolerance = tolerance
+    max_rel_error: float
+    checked: int
+    tolerance: float
 
     @property
     def passed(self):
         return self.max_rel_error < self.tolerance
-
-    def __repr__(self):
-        verdict = "pass" if self.passed else "FAIL"
-        return (f"GradCheckReport(max_rel_error={self.max_rel_error:.3e}, "
-                f"checked={self.checked}, tolerance={self.tolerance:g}, {verdict})")
 
 
 def grad_check(loss_fn, grads_fn, params, epsilon=1e-5, tolerance=1e-4,
@@ -473,12 +471,16 @@ def write_dtns(path, array):
 
 
 def read_dtns(path):
+    """Load a write_dtns dump; a malformed file raises ValueError."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != DTNS_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {DTNS_MAGIC!r}")
-        rank = struct.unpack("<B", f.read(1))[0]
-        shape = struct.unpack(f"<{rank}I", f.read(4 * rank))
-        count = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(f.read(4 * count), dtype="<f4", count=count)
-        return data.reshape(shape).astype(FLOAT)
+        data = f.read()
+    if data[:4] != DTNS_MAGIC:
+        raise ValueError(f"{path}: bad magic {data[:4]!r}, expected {DTNS_MAGIC!r}")
+    if len(data) < 5 or len(data) < 5 + 4 * data[4]:
+        raise ValueError(f"{path}: header of {len(data)} bytes is truncated")
+    shape = struct.unpack_from(f"<{data[4]}I", data, 5)
+    offset = 5 + 4 * len(shape)
+    if len(data) - offset != 4 * math.prod(shape):
+        raise ValueError(f"{path}: extents {shape} need {4 * math.prod(shape)} "
+                         f"bytes of values, found {len(data) - offset}")
+    return np.frombuffer(data, "<f4", offset=offset).reshape(shape).astype(FLOAT)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor_core as tc
-from .directional_features import canonical_mode, stack_batch
+from .directional_features import MODE_CHANNELS, stack_batch
 from .network_builder import (
     ParamStore,
     count_parameters,
@@ -55,7 +55,8 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        canonical_mode(self.mode)
+        if self.mode not in MODE_CHANNELS:
+            raise ValueError(f"unknown input mode {self.mode!r}")
 
 
 @dataclass(frozen=True)

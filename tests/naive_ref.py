@@ -50,6 +50,28 @@ def maxpool2d_ref(x, window, stride, pad=0):
     return out
 
 
+def maxpool2d_backward_ref(x, g, window, stride, pad=0):
+    """Gradient of maxpool2d: each g goes to the first row-major cell holding
+    its window's max; windows add in output row-major order, in g's dtype."""
+    n, c, h, w = x.shape
+    _, _, ho, wo = g.shape
+    xp = np.full((n, c, h + 2 * pad, w + 2 * pad), -np.inf, dtype=np.float64)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    dxp = np.zeros(xp.shape, dtype=g.dtype)
+    for ni in range(n):
+        for ci in range(c):
+            for oy in range(ho):
+                for ox in range(wo):
+                    best, at = -np.inf, (oy * stride, ox * stride)
+                    for ky in range(window):
+                        for kx in range(window):
+                            v = xp[ni, ci, oy * stride + ky, ox * stride + kx]
+                            if v > best:
+                                best, at = v, (oy * stride + ky, ox * stride + kx)
+                    dxp[ni, ci, at[0], at[1]] += g[ni, ci, oy, ox]
+    return dxp[:, :, pad:pad + h, pad:pad + w]
+
+
 def matmul_ref(x, w, b):
     n, d = x.shape
     t = w.shape[0]

@@ -226,8 +226,9 @@ def test_train_prints_log_and_saves(data_dir, tmp_path, capsys):
     assert f"saved {out}" in text
 
 
-def test_eval_reports_topk(model_path, data_dir, capsys):
-    rc = main(["eval", "--model", str(model_path), "--data", str(data_dir),
+def test_eval_reports_topk(gnt_path, tmp_path, capsys):
+    model = seeded_model(tmp_path / "ten.hcrm", classes=10)
+    rc = main(["eval", "--model", str(model), "--gnt", str(gnt_path),
                "--split", "test", "--seed", "0"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -235,6 +236,15 @@ def test_eval_reports_topk(model_path, data_dir, capsys):
                 "serialized_bytes="):
         assert key in out
     assert "Top1" in out                         # human table too
+
+
+def test_eval_reports_no_k_above_the_class_count(model_path, data_dir, capsys,
+                                                 recwarn):
+    assert main(["eval", "--model", str(model_path), "--data", str(data_dir),
+                 "--split", "test", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "top2=" in out and "top5=" not in out and "Top5" not in out
+    assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
 def test_eval_defaults_to_the_mode_of_the_model(data_dir, tmp_path, capsys):

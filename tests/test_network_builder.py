@@ -364,6 +364,33 @@ def test_loss_and_grads_covers_every_parameter():
         assert grads[name].shape == params[name].shape
 
 
+def test_loss_and_grads_computes_no_input_gradient(monkeypatch):
+    """The stem conv skips dx of the network input; no gradient changes."""
+    spec = build_hccr_googlenet("reference-small", class_count=10)
+    params = init_weights(spec, seed=2)
+    x = np.random.default_rng(3).random((4, 1, 32, 32), dtype=np.float32)
+    labels = np.array([0, 3, 7, 9])
+    backward = tc._conv2d_backward
+    calls = []
+
+    def spy(g, xv, w, stride, pad, need_dx=True):
+        calls.append((xv is x, need_dx))
+        return backward(g, xv, w, stride, pad, need_dx)
+
+    monkeypatch.setattr(tc, "_conv2d_backward", spy)
+    loss, _, grads = loss_and_grads(spec, params, x, labels, np.random.default_rng(1))
+    assert [need for is_input, need in calls if is_input] == [False]
+    assert all(need for is_input, need in calls if not is_input)
+    # every conv computing dx, the input's included, gives the same gradients
+    monkeypatch.setattr(tc, "_conv2d_backward",
+                        lambda g, xv, w, stride, pad, need_dx: backward(g, xv, w, stride, pad))
+    loss_dx, _, grads_dx = loss_and_grads(spec, params, x, labels,
+                                          np.random.default_rng(1))
+    assert loss == loss_dx
+    for name in params.keys():
+        np.testing.assert_array_equal(grads[name], grads_dx[name])
+
+
 def test_final_fc_bias_gradient_is_mean_residual():
     spec = with_dropout_rate(tiny_spec(), 0.0)
     params = init_weights(spec, seed=4)

@@ -1,11 +1,14 @@
+import gc
 import math
+import struct
+import weakref
 
 import numpy as np
 import pytest
 
 from hccr import tensor_core as tc
 
-from naive_ref import conv2d_ref, maxpool2d_ref, matmul_ref
+from naive_ref import conv2d_ref, maxpool2d_backward_ref, maxpool2d_ref, matmul_ref
 
 
 def rnd(shape, rng, dtype=np.float32):
@@ -106,6 +109,20 @@ def test_maxpool_backward_routes_to_argmax_and_conserves_sum():
     _, saved2 = tc.maxpool2d(x, window=3, stride=2, pad=1)
     dx1 = tc.maxpool2d_backward(g1, saved2)
     assert (dx1 != 0).sum() == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window,stride,pad", [(3, 1, 1), (3, 2, 1), (2, 2, 0)])
+def test_maxpool_and_backward_equal_loop_references(window, stride, pad, dtype):
+    rng = np.random.default_rng(window * 10 + stride)
+    x = rng.integers(-2, 3, (2, 3, 7, 6)).astype(dtype)     # many ties
+    out, saved = tc.maxpool2d(x, window, stride, pad)
+    np.testing.assert_array_equal(out, maxpool2d_ref(x, window, stride, pad))
+    # non-integer gradients, so a different summation order changes bits
+    g = rng.standard_normal(out.shape).astype(dtype)
+    dx = tc.maxpool2d_backward(g, saved)
+    assert dx.dtype == dtype and dx.shape == x.shape
+    np.testing.assert_array_equal(dx, maxpool2d_backward_ref(x, g, window, stride, pad))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +367,26 @@ def test_tape_single_relu_node():
     np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
 
+def test_tape_is_freed_without_the_cycle_collector():
+    """No backward closure refers to its tape, so the saved activations go
+    as soon as the tape does."""
+    rng = np.random.default_rng(4)
+    tape = tc.Tape()
+    x = tc.Node(rnd((2, 3, 6, 6), rng))
+    h = tc.conv2d_taped(tape, x, tc.Node(rnd((4, 3, 3, 3), rng)), tc.Node(rnd(4, rng)), 1, 1)
+    tc.maxpool2d_taped(tape, tc.relu_taped(tape, h), 3, 2, 1)
+    tape.backward(1.0)
+    gone = weakref.ref(tape)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del tape
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_tape_rejects_second_replay():
     tape = tc.Tape()
     x = tc.Node(np.array([1.0], dtype=np.float32))
@@ -482,3 +519,24 @@ def test_dtns_rejects_bad_magic(tmp_path):
     path.write_bytes(b"XXXX\x01\x01\x00\x00\x00\x00\x00\x80\x3f")
     with pytest.raises(ValueError):
         tc.read_dtns(path)
+
+
+def test_dtns_rejects_truncated_header(tmp_path):
+    path = tmp_path / "t.dtns"
+    tc.write_dtns(path, np.ones((2, 3), dtype=np.float32))
+    raw = path.read_bytes()
+    for cut in (4, 5, 9, 12):       # magic only, rank only, part of the extents
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            tc.read_dtns(path)
+
+
+def test_dtns_rejects_extents_the_file_cannot_hold(tmp_path):
+    path = tmp_path / "t.dtns"
+    tc.write_dtns(path, np.ones((2, 3), dtype=np.float32))
+    raw = path.read_bytes()
+    huge = raw[:5] + struct.pack("<2I", 2 ** 31, 2 ** 31) + raw[13:]
+    for bad in (huge, raw[:-4], raw + b"\0"):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="bytes of values"):
+            tc.read_dtns(path)

@@ -149,23 +149,6 @@ def _relu_backward(g, x):
     return g * (x > 0)
 
 
-def dropout(x, rate, rng):
-    """Inverted dropout. Returns (output, mask); mask is None at rate 0.
-
-    Zeroes each element with probability `rate` and scales survivors by
-    1/(1-rate) so the expectation is preserved.
-    """
-    if not 0 <= rate < 1:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0:
-        return x, None
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    keep = (rng.random(x.shape) >= rate)
-    mask = keep.astype(x.dtype) / x.dtype.type(1 - rate)
-    return x * mask, mask
-
-
 def concat_channels(inputs):
     """Stack NCHW tensors along the channel axis, in argument order."""
     if not inputs:
@@ -341,11 +324,20 @@ def relu_taped(tape, x):
 
 
 def dropout_taped(tape, x, rate, rng):
-    """Train-mode inverted dropout; the identity with no tape or a zero rate."""
+    """Train-mode inverted dropout; the identity with no tape or a zero rate.
+
+    Zeroes each element with probability `rate` and scales survivors by
+    1/(1-rate) so the expectation is preserved.
+    """
     if tape is None or rate == 0:
         return x
-    y, mask = dropout(x.value, rate, rng)
-    out = Node(y)
+    if not 0 < rate < 1:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if rng is None:
+        raise ValueError("train-mode dropout needs an rng")
+    dtype = x.value.dtype
+    mask = (rng.random(x.value.shape) >= rate).astype(dtype) / dtype.type(1 - rate)
+    out = Node(x.value * mask)
 
     def backward(g):
         return [(x, g * mask)]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hccr import directional_features
 from hccr.directional_features import (
     CHAINCODE_DIRECTIONS,
     FeatureStack,
@@ -75,6 +76,8 @@ def test_gabor_bank_orientations():
     np.testing.assert_allclose(spec.orientations,
                                [k * math.pi / 8 for k in range(8)])
     assert gabor_bank(spec).shape == (8, 11, 11)
+    assert gabor_bank(spec) is gabor_bank(GaborBankSpec())   # built once
+    assert not gabor_bank(spec).flags.writeable
 
 
 def test_gabor_sigma_default_tracks_wavelength():
@@ -283,9 +286,14 @@ def test_stack_mode_alias_and_unknown():
 
 
 def test_stack_rejects_out_of_range_image():
-    image = np.full((32, 32), 1.5, dtype=np.float32)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        stack_input(image, "original")
+    for value in (1.5, -0.5, np.nan, np.inf):
+        image = np.full((32, 32), value, dtype=np.float32)
+        for mode in ("original", "original+hog"):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                stack_input(image, mode)
+            batch = np.stack([np.zeros_like(image), image])
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                stack_batch(batch, mode)
 
 
 def test_stack_deterministic():
@@ -303,3 +311,17 @@ def test_stack_batch_shape():
     assert batch.shape == (5, 9, 32, 32)
     np.testing.assert_array_equal(batch[2],
                                   stack_input(images[2], "original+gradient").planes)
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_CHANNELS))
+def test_stack_batch_equals_one_image_at_a_time(mode):
+    # more images than one extractor chunk, and not a multiple of it
+    chunk = directional_features._CHUNK_PIXELS // (32 * 32)
+    rng = np.random.default_rng(12)
+    images = rng.random((chunk + 13, 32, 32), dtype=np.float32)
+    images[chunk + 3] = 0.5     # constant: zero span, zero peak, no HoG votes
+    batch = stack_batch(images, mode)
+    assert batch.shape == (chunk + 13, MODE_CHANNELS[mode], 32, 32)
+    for i in range(len(images)):
+        np.testing.assert_array_equal(batch[i], stack_batch(images[i:i + 1], mode)[0])
+    assert not batch[chunk + 3, 1:].any()

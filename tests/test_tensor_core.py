@@ -150,10 +150,10 @@ def test_relu_backward_subgradient_zero_at_zero():
 
 
 def test_dropout_zero_rate_is_identity():
-    x = np.ones((4, 4), dtype=np.float32)
-    out, mask = tc.dropout(x, 0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(out, x)
-    assert mask is None
+    tape = tc.Tape()
+    node = tc.Node(np.ones((4, 4), dtype=np.float32))
+    assert tc.dropout_taped(tape, node, 0.0, np.random.default_rng(0)) is node
+    assert tape.output is None      # nothing recorded: no mask to apply
 
 
 def test_dropout_infer_is_identity():
@@ -162,14 +162,15 @@ def test_dropout_infer_is_identity():
 
 
 def test_dropout_preserves_expectation():
-    x = np.ones(1_000_000, dtype=np.float32)
-    out, _ = tc.dropout(x, 0.5, np.random.default_rng(42))
-    assert abs(out.mean() - 1.0) < 0.01
+    node = tc.Node(np.ones(1_000_000, dtype=np.float32))
+    out = tc.dropout_taped(tc.Tape(), node, 0.5, np.random.default_rng(42))
+    assert abs(out.value.mean() - 1.0) < 0.01
 
 
 def test_dropout_rejects_rate_one():
     with pytest.raises(ValueError):
-        tc.dropout(np.ones(3, np.float32), 1.0, np.random.default_rng(0))
+        tc.dropout_taped(tc.Tape(), tc.Node(np.ones(3, np.float32)), 1.0,
+                         np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ from .directional_features import (
     stack_input,
 )
 from .network_builder import (
-    build_hccr_alexnet,
-    build_hccr_googlenet,
+    REFERENCE_NETS,
+    build_net,
     count_inception_modules,
     count_layers,
     count_parameters,
+    reference_net,
 )
 from .pipeline_data import (
     PREPROC_PRESETS,
@@ -49,7 +50,6 @@ from .train_eval import (
     train,
 )
 
-NETS = ("googlenet-small", "googlenet-full", "alexnet-small", "alexnet-full")
 TRAIN_FRACTION = 0.8
 
 
@@ -90,31 +90,13 @@ def _load_raw(args):
     return load_image_dir(args.data) if args.data else load_gnt(args.gnt)
 
 
-def _build_net(name, class_count, mode):
-    channels = MODE_CHANNELS[mode]
-    family, size = name.rsplit("-", 1)
-    scale = f"reference-{size}"
-    if family == "googlenet":
-        return build_hccr_googlenet(scale, class_count=class_count,
-                                    in_channels=channels)
-    return build_hccr_alexnet(scale, class_count=class_count,
-                              in_channels=channels)
-
-
-def _preset_for_spec(spec):
-    """Preprocessing preset implied by a model's topology and input size."""
-    family = "googlenet" if count_inception_modules(spec) else "alexnet"
-    size = "full" if spec.input_shape[1] > 32 else "small"
-    return PREPROC_PRESETS[f"{family}-{size}"]
-
-
 def _eval_subsets(args, specs):
     """Load the data, check class counts, and return each model's side of the
     held-out split in its own preprocessing preset (each preset runs once)."""
     raw = _load_raw(args)
     check_class_counts(specs, raw.class_count)
     side = shuffle_split(raw, TRAIN_FRACTION, args.seed)[args.split == "test"]
-    presets = [_preset_for_spec(spec) for spec in specs]
+    presets = [PREPROC_PRESETS[reference_net(spec)] for spec in specs]
     prepared = {preset: preprocess_dataset(side, preset)
                 for preset in dict.fromkeys(presets)}
     return [prepared[preset] for preset in presets]
@@ -168,7 +150,7 @@ def cmd_train(args):
     raw = _load_raw(args)
     prepared = preprocess_dataset(raw, PREPROC_PRESETS[args.net])
     train_set, val_set = shuffle_split(prepared, TRAIN_FRACTION, args.seed)
-    spec = _build_net(args.net, prepared.class_count, args.mode)
+    spec = build_net(args.net, prepared.class_count, MODE_CHANNELS[args.mode])
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch,
                          lr=args.lr, momentum=args.momentum, seed=args.seed,
                          mode=args.mode)
@@ -298,7 +280,7 @@ def build_parser():
 
     tr = subs.add_parser("train", formatter_class=fmt,
                          help="train a network and save it")
-    tr.add_argument("--net", choices=NETS, required=True,
+    tr.add_argument("--net", choices=REFERENCE_NETS, required=True,
                     help="architecture and scale")
     _add_data_flags(tr)
     tr.add_argument("--mode", choices=tuple(MODE_CHANNELS), default="original",

@@ -88,6 +88,8 @@ def _same_conv(image, kernels):
     images = np.asarray(image, dtype=tc.FLOAT)
     if images.ndim < 2:
         raise tc.ShapeError(f"expected grayscale images [..., H, W], got {images.shape}")
+    if not np.isfinite(images).all():
+        raise ValueError("image values must be finite")
     lead, (h, w) = images.shape[:-2], images.shape[-2:]
     r = kernels.shape[-1] // 2
     padded = np.pad(images.reshape(-1, 1, h, w), ((0, 0), (0, 0), (r, r), (r, r)),
@@ -191,45 +193,35 @@ def gradient_maps(image):
 # ---------------------------------------------------------------------------
 # HoG planes
 
-@dataclass(frozen=True)
-class HogSpec:
-    """Unsigned-orientation histograms over [0, pi), as image-sized planes.
-
-    Bins anchor at the representative angles k*pi/bin_count; a gradient
-    votes its magnitude into the two nearest anchors by linear
-    interpolation (circularly, so angles near pi wrap to bin 0). Cells of
-    cell_size^2 pixels accumulate votes; 2x2-cell blocks are L2-normalized
-    and each cell's final descriptor averages its normalized appearances;
-    nearest-neighbor upsampling returns to pixel resolution.
-    """
-    bin_count: int = 8
-    cell_size: int = 8
-    epsilon: float = 1e-5
-
-    def __post_init__(self):
-        if self.bin_count < 2:
-            raise ValueError("bin_count must be >= 2")
-        if self.cell_size < 1:
-            raise ValueError("cell_size must be >= 1")
+# Unsigned-orientation histograms over [0, pi), as image-sized planes. Bins
+# anchor at the representative angles k*pi/HOG_BINS; a gradient votes its
+# magnitude into the two nearest anchors by linear interpolation (circularly,
+# so angles near pi wrap to bin 0). Cells of HOG_CELL^2 pixels accumulate
+# votes; 2x2-cell blocks are L2-normalized and each cell's final descriptor
+# averages its normalized appearances; nearest-neighbor upsampling returns
+# to pixel resolution.
+HOG_BINS = 8
+HOG_CELL = 8
+HOG_EPSILON = 1e-5
 
 
-def _cell_histograms(images, spec):
+def _cell_histograms(images):
     """Vote planes summed per cell: [..., bins, Hc, Wc] on the padded grid."""
     h, w = images.shape[-2:]
-    cs = spec.cell_size
+    cs = HOG_CELL
     pad = [(0, 0)] * (images.ndim - 2) + [(0, (-h) % cs), (0, (-w) % cs)]
     gx, gy = sobel_gradients(np.pad(images, pad, mode="edge"))
     m = np.hypot(gx, -gy)
     phi = np.mod(np.arctan2(-gy, gx), math.pi)
-    t = phi / (math.pi / spec.bin_count)
-    k0 = np.minimum(t.astype(np.int64), spec.bin_count - 1)
+    t = phi / (math.pi / HOG_BINS)
+    k0 = np.minimum(t.astype(np.int64), HOG_BINS - 1)
     frac = t - k0
-    votes = _vote(spec.bin_count, k0, (1.0 - frac) * m, frac * m)
+    votes = _vote(HOG_BINS, k0, (1.0 - frac) * m, frac * m)
     hc, wc = votes.shape[-2] // cs, votes.shape[-1] // cs
     return votes.reshape(votes.shape[:-2] + (hc, cs, wc, cs)).sum(axis=(-3, -1))
 
 
-def _normalize_blocks(hist, spec):
+def _normalize_blocks(hist):
     """Average each cell's L2-normalized appearances across 2x2 blocks."""
     hc, wc = hist.shape[-2:]
     bh, bw = min(2, hc), min(2, wc)
@@ -238,7 +230,7 @@ def _normalize_blocks(hist, spec):
     # order numpy sums a whole block.
     squares = sliding_window_view(hist ** 2, (bh, bw), axis=(-2, -1))
     squares = np.moveaxis(squares, -5, -3).reshape(hist.shape[:-3] + (nby, nbx, -1))
-    norms = np.sqrt(squares.sum(axis=-1) + spec.epsilon ** 2)[..., None, :, :]
+    norms = np.sqrt(squares.sum(axis=-1) + HOG_EPSILON ** 2)[..., None, :, :]
     # A cell takes its blocks in row-major block order: last offset first.
     acc = np.zeros_like(hist)
     count = np.zeros((hc, wc))
@@ -250,12 +242,11 @@ def _normalize_blocks(hist, spec):
     return acc / count
 
 
-def hog_maps(image, spec=None):
-    """Per-bin HoG planes [..., bins, H, W] at input resolution, in [0,1]."""
-    spec = spec or HogSpec()
+def hog_maps(image):
+    """Per-bin HoG planes [..., HOG_BINS, H, W] at input resolution, in [0,1]."""
     images = np.asarray(image, dtype=tc.FLOAT)
-    cells = _normalize_blocks(_cell_histograms(images, spec), spec)
-    planes = cells.repeat(spec.cell_size, axis=-2).repeat(spec.cell_size, axis=-1)
+    cells = _normalize_blocks(_cell_histograms(images))
+    planes = cells.repeat(HOG_CELL, axis=-2).repeat(HOG_CELL, axis=-1)
     return planes[..., :images.shape[-2], :images.shape[-1]].astype(tc.FLOAT)
 
 

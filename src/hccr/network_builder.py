@@ -3,12 +3,12 @@
 A NetworkSpec is an immutable ordered list of layer descriptors validated
 at build time by shape inference. Parameters live in a ParamStore keyed by
 layer path, created by init_weights and walked in a fixed canonical order
-(which is also the serialization order).
+(which is also the serialization order). The reference networks are named
+in REFERENCE_NETS; a saved model stores that name, not its layers.
 """
 
 import math
-import struct
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,9 +18,6 @@ from .tensor_core import Node, ShapeError, Tape
 
 # ---------------------------------------------------------------------------
 # layer descriptors
-
-_RATE_SCALE = 1_000_000  # dropout rate stored as a u32 in millionths
-
 
 def _window_shape(shape, kernel=1, stride=1, pad=0):
     """(C, Ho, Wo) of a sliding window over a C,H,W shape (the identity by default)."""
@@ -33,8 +30,7 @@ def _window_shape(shape, kernel=1, stride=1, pad=0):
 
 class _Layer:
     """One frozen dataclass per layer kind owns its shape rule, parameters,
-    forward pass, HCRM fields and depth; a new kind also needs a _KIND_TAGS entry.
-    """
+    forward pass and depth."""
     depth = 0           # weighted layers it counts as
     pooling = False     # a standalone pooling layer
 
@@ -44,14 +40,6 @@ class _Layer:
     def param_entries(self, name, shape):
         """(name, shape, fan_in) of each parameter, given the input shape."""
         return []
-
-    def fields(self):
-        """The u32 fields stored in the HCRM spec block."""
-        return astuple(self)
-
-    @classmethod
-    def from_fields(cls, fields):
-        return cls(*fields)
 
 
 def _weight_and_bias(name, out, weight_shape):
@@ -102,13 +90,6 @@ class ReLU(_Layer):
 @dataclass(frozen=True)
 class Dropout(_Layer):
     rate: float = 0.5
-
-    def fields(self):
-        return (round(self.rate * _RATE_SCALE),)
-
-    @classmethod
-    def from_fields(cls, fields):
-        return cls(*(f / _RATE_SCALE for f in fields))
 
     def forward(self, tape, x, param, rng):
         return tc.dropout_taped(tape, x, self.rate, rng)
@@ -162,13 +143,6 @@ class Inception(_Layer):
                                    ("b5", s.c5, s.r5, 5), ("proj", s.pp, cin, 1)):
             entries += _weight_and_bias(f"{name}.{tag}", cout, (bcin, k, k))
         return entries
-
-    def fields(self):
-        return astuple(self.spec)
-
-    @classmethod
-    def from_fields(cls, fields):
-        return cls(InceptionSpec(*fields))
 
     def forward(self, tape, x, param, rng):
         # Ops are recorded b1, b3r, b3, b5r, b5, pool, proj: the backward pass
@@ -419,6 +393,28 @@ def build_hccr_alexnet(scale="reference-full", *, class_count=None, in_channels=
     return spec
 
 
+REFERENCE_NETS = ("googlenet-small", "googlenet-full", "alexnet-small", "alexnet-full")
+
+
+def build_net(name, class_count, in_channels):
+    """The reference network `name` (family-scale, see REFERENCE_NETS)."""
+    if name not in REFERENCE_NETS:
+        raise ValueError(f"unknown network {name!r} (expected one of "
+                         f"{', '.join(REFERENCE_NETS)})")
+    family, size = name.rsplit("-", 1)
+    build = build_hccr_googlenet if family == "googlenet" else build_hccr_alexnet
+    return build(f"reference-{size}", class_count=class_count, in_channels=in_channels)
+
+
+def reference_net(spec):
+    """The name in REFERENCE_NETS whose build equals `spec`; ValueError if none."""
+    for name in REFERENCE_NETS:
+        if build_net(name, spec.class_count, spec.input_shape[0]) == spec:
+            return name
+    raise ValueError("network is none of the reference networks "
+                     f"({', '.join(REFERENCE_NETS)})")
+
+
 def with_dropout_rate(spec, rate):
     """Copy of `spec` with every dropout layer set to `rate`."""
     layers = tuple(Dropout(rate) if isinstance(l, Dropout) else l for l in spec.layers)
@@ -497,53 +493,3 @@ def grad_check_network(spec, params, x, labels, epsilon=1e-5, tolerance=1e-4,
 
     return tc.grad_check(loss_fn, grads_fn, p64, epsilon=epsilon,
                          tolerance=tolerance, min_checks=min_checks, rng=rng)
-
-
-# ---------------------------------------------------------------------------
-# spec serialization (the HCRM model format's spec block)
-
-_KIND_TAGS = {Conv: 1, MaxPool: 2, ReLU: 3, Dropout: 4, Inception: 5,
-              FullyConnected: 6, Softmax: 7, GlobalAvgPool: 8}
-_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
-
-
-def spec_to_bytes(spec):
-    out = bytearray()
-    out += struct.pack("<3I", *spec.input_shape)
-    out += struct.pack("<I", len(spec.layers))
-    for layer in spec.layers:
-        fields = layer.fields()
-        out += struct.pack("<BB", _KIND_TAGS[type(layer)], len(fields))
-        out += struct.pack(f"<{len(fields)}I", *fields)
-    return bytes(out)
-
-
-def spec_from_bytes(data, class_count):
-    """Parse and validate a spec block; malformed bytes raise ValueError."""
-    try:
-        c, h, w, n_layers = struct.unpack_from("<4I", data, 0)
-        off = 16
-        layers = []
-        for i in range(n_layers):
-            tag, n_fields = struct.unpack_from("<BB", data, off)
-            off += 2
-            fields = struct.unpack_from(f"<{n_fields}I", data, off)
-            off += 4 * n_fields
-            kind = _KINDS.get(tag)
-            if kind is None:
-                raise ValueError(f"layer {i}: unknown layer tag {tag}")
-            try:
-                layer = kind.from_fields(fields)
-            except TypeError:
-                layer = None
-            if layer is None or layer.fields() != fields:
-                raise ValueError(f"layer {i}: {n_fields} fields do not fit "
-                                 f"a {kind.__name__.lower()} layer")
-            layers.append(layer)
-    except struct.error as err:
-        raise ValueError(f"spec block is truncated: {err}") from None
-    if off != len(data):
-        raise ValueError(f"spec block has {len(data) - off} trailing bytes")
-    spec = NetworkSpec((c, h, w), tuple(layers), class_count)
-    validate_spec(spec)
-    return spec

@@ -166,6 +166,8 @@ def load_gnt(path):
         size, = struct.unpack_from("<I", data, offset)
         tag = data[offset + 4:offset + 6]
         width, height = struct.unpack_from("<2H", data, offset + 6)
+        if width == 0 or height == 0:
+            raise ValueError(f"record at byte {offset}: empty {width}x{height} image")
         if size != 10 + width * height:
             raise ValueError(f"record at byte {offset}: size field {size} != "
                              f"10 + {width}x{height}")
@@ -232,6 +234,8 @@ def read_pgm(path):
         fields.append(int(data[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: image extent {width}x{height} is empty")
     if not 0 < maxval <= 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     expected = width * height
@@ -239,6 +243,8 @@ def read_pgm(path):
         raise ValueError(f"{path}: expected {expected} pixel bytes, "
                          f"got {len(data) - pos}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
+    if pixels.max() > maxval:
+        raise ValueError(f"{path}: pixel value {pixels.max()} exceeds maxval {maxval}")
     return (pixels.reshape(height, width) / np.float32(maxval)).astype(tc.FLOAT)
 
 

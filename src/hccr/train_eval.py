@@ -3,8 +3,11 @@
 Training is plain minibatch SGD with momentum and a per-epoch multiplicative
 learning-rate decay, fully deterministic for a given seed. Evaluation ranks
 classes by probability with ties resolved toward the lower class index.
-Models persist to a small binary container (magic "HCRM") holding the
-topology followed by the raw float32 parameters in canonical order.
+Models persist to a small binary container, HCRM v2: a 32-byte header
+(magic "HCRM", then u32 version, class count and input channels, then the
+reference network's name NUL-padded to 16 bytes), followed by the raw
+little-endian float32 parameters in canonical order. All integers are
+little-endian; the loader rebuilds the topology from the name.
 """
 
 import math
@@ -19,18 +22,20 @@ from . import tensor_core as tc
 from .directional_features import MODE_CHANNELS, stack_batch
 from .network_builder import (
     ParamStore,
+    build_net,
     count_parameters,
     forward_net,
     init_weights,
     loss_and_grads,
     parameter_entries,
-    spec_from_bytes,
-    spec_to_bytes,
+    reference_net,
     with_dropout_rate,
 )
 
 MODEL_MAGIC = b"HCRM"
-MODEL_VERSION = 1
+# Bump whenever a reference topology changes: files store only its name.
+MODEL_VERSION = 2
+MODEL_HEADER = struct.Struct("<4s3I16s")    # magic, version, classes, channels, net
 LR_DECAY = 0.95         # per-epoch learning-rate multiplier
 
 
@@ -242,13 +247,11 @@ def relative_error_reduction(baseline_acc, new_acc):
 # persistence and size accounting
 
 def save_model(spec, params, path):
-    """Write the HCRM container; returns the byte count written."""
+    """Write the HCRM container of a reference network; returns the byte count."""
     tensors = params.tensors if isinstance(params, ParamStore) else params
-    blob = spec_to_bytes(spec)
-    out = bytearray()
-    out += MODEL_MAGIC
-    out += struct.pack("<3I", MODEL_VERSION, spec.class_count, len(blob))
-    out += blob
+    out = bytearray(MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, spec.class_count,
+                                      spec.input_shape[0],
+                                      reference_net(spec).encode("ascii")))
     for name, shape, _ in parameter_entries(spec):
         tensor = tensors[name]
         if tuple(tensor.shape) != shape:
@@ -264,21 +267,26 @@ def load_model(path):
     data = Path(path).read_bytes()
     if data[:4] != MODEL_MAGIC:
         raise ValueError(f"{path}: bad magic {data[:4]!r}")
-    if len(data) < 16:
+    if len(data) < MODEL_HEADER.size:
         raise ValueError(f"{path}: {len(data)} bytes is too short for an HCRM header")
-    version, class_count, blob_len = struct.unpack_from("<3I", data, 4)
+    _, version, class_count, channels, name = MODEL_HEADER.unpack_from(data)
     if version != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    offset = 16
-    spec = spec_from_bytes(data[offset:offset + blob_len], class_count)
-    offset += blob_len
-    entries = parameter_entries(spec)
-    expected = offset + 4 * sum(int(np.prod(shape)) for _, shape, _ in entries)
+        raise ValueError(f"{path}: unsupported version {version} "
+                         f"(this build reads version {MODEL_VERSION})")
+    if class_count < 1 or channels < 1:
+        raise ValueError(f"{path}: {class_count} classes and {channels} input "
+                         f"channels; both must be >= 1")
+    try:
+        spec = build_net(name.rstrip(b"\0").decode("latin-1"), class_count, channels)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    offset = MODEL_HEADER.size
+    expected = offset + 4 * count_parameters(spec)
     if len(data) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, file has "
                          f"{len(data)}")
     tensors = {}
-    for name, shape, _ in entries:
+    for name, shape, _ in parameter_entries(spec):
         count = int(np.prod(shape))
         flat = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
         tensors[name] = flat.reshape(shape).astype(tc.FLOAT)
@@ -295,5 +303,5 @@ class SizeReport:
 
 def serialized_size_report(spec):
     count = count_parameters(spec)
-    total = 16 + len(spec_to_bytes(spec)) + 4 * count
+    total = MODEL_HEADER.size + 4 * count
     return SizeReport(count, total, f"{total / 2 ** 20:.2f} MiB")

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from hccr.cli import main
-from hccr.network_builder import (
-    build_hccr_alexnet,
-    build_hccr_googlenet,
-    init_weights,
-)
+from hccr.network_builder import build_net, init_weights
 from hccr.pipeline_data import load_image_dir, load_gnt
 from hccr.tensor_core import read_dtns
 from hccr.train_eval import save_model
@@ -43,9 +39,8 @@ def gnt_path(tmp_path_factory):
 
 
 def seeded_model(path, net="googlenet-small", classes=3, channels=1, seed=1):
-    """Save an untrained model of the given family, class and channel count."""
-    build = build_hccr_googlenet if net.startswith("googlenet") else build_hccr_alexnet
-    spec = build("reference-small", class_count=classes, in_channels=channels)
+    """Save an untrained model of the given network, class and channel count."""
+    spec = build_net(net, classes, channels)
     save_model(spec, init_weights(spec, seed), path)
     return path
 
@@ -148,6 +143,33 @@ def test_corrupt_model_exits_1(tmp_path, capsys):
     rc = main(["inspect", "--model", str(bad)])
     assert rc == 1
     assert "magic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["eval", "inspect"])
+def test_unloadable_model_headers_exit_1(sub, model_path, data_dir, tmp_path,
+                                         capsys):
+    good = model_path.read_bytes()
+    zero = (0).to_bytes(4, "little")
+    cases = [("version 1", good[:4] + (1).to_bytes(4, "little") + good[8:]),
+             ("unknown network", good[:16] + b"lenet".ljust(16, b"\0") + good[32:]),
+             ("0 classes", good[:8] + zero + good[12:]),
+             ("0 input channels", good[:12] + zero + good[16:])]
+    bad = tmp_path / "bad.hcrm"
+    argv = [sub, "--model", str(bad)] + (["--data", str(data_dir)] if sub == "eval" else [])
+    for message, data in cases:
+        bad.write_bytes(data)
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_train_on_an_empty_gnt_image_exits_1(gnt_path, tmp_path, capsys):
+    bad = tmp_path / "empty-image.gnt"
+    bad.write_bytes(gnt_path.read_bytes() + (10).to_bytes(4, "little") + b"AA" +
+                    bytes(4))
+    rc = main(["train", "--net", "googlenet-small", "--gnt", str(bad),
+               "--epochs", "0"])
+    assert rc == 1
+    assert "empty 0x0 image" in capsys.readouterr().err
 
 
 def test_missing_data_dir_exits_1(model_path, capsys):

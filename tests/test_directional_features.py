@@ -10,7 +10,6 @@ from hccr.directional_features import (
     CHAINCODE_DIRECTIONS,
     FeatureStack,
     GaborBankSpec,
-    HogSpec,
     MODE_CHANNELS,
     chaincode_decompose,
     gabor_bank,
@@ -244,11 +243,11 @@ def test_hog_upsample_is_nearest_per_cell():
     assert np.all(patch == patch[:, :1, :1])
 
 
-def test_hog_spec_validation():
-    with pytest.raises(ValueError):
-        HogSpec(bin_count=1)
-    with pytest.raises(ValueError):
-        HogSpec(cell_size=0)
+@pytest.mark.parametrize("extract", [gabor_maps, gradient_maps, hog_maps,
+                                     sobel_gradients])
+def test_extractors_reject_non_finite_pixels(extract):
+    with pytest.raises(ValueError, match="finite"):
+        extract(np.full((32, 32), np.nan))
 
 
 # ---------------------------------------------------------------------------

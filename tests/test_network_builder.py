@@ -14,11 +14,13 @@ from hccr.network_builder import (
     InceptionSpec,
     MaxPool,
     NetworkSpec,
+    REFERENCE_NETS,
     ParamStore,
     ReLU,
     Softmax,
     build_hccr_alexnet,
     build_hccr_googlenet,
+    build_net,
     count_inception_modules,
     count_layers,
     count_parameters,
@@ -28,8 +30,7 @@ from hccr.network_builder import (
     init_weights,
     loss_and_grads,
     parameter_entries,
-    spec_from_bytes,
-    spec_to_bytes,
+    reference_net,
     validate_spec,
     with_dropout_rate,
 )
@@ -444,17 +445,26 @@ def test_short_training_run_decreases_loss():
 
 
 # ---------------------------------------------------------------------------
-# spec serialization
+# reference networks
 
-def test_spec_bytes_round_trip():
-    for spec in (tiny_spec(rate=0.25), build_hccr_googlenet("reference-small"),
-                 build_hccr_alexnet("reference-small")):
-        blob = spec_to_bytes(spec)
-        back = spec_from_bytes(blob, spec.class_count)
-        assert back == spec
+def test_build_net_matches_the_family_builders():
+    assert build_net("googlenet-full", 5, 9) == build_hccr_googlenet(
+        "reference-full", class_count=5, in_channels=9)
+    assert build_net("alexnet-small", 3, 1) == build_hccr_alexnet(
+        "reference-small", class_count=3)
+    with pytest.raises(ValueError, match="unknown network"):
+        build_net("resnet-small", 3, 1)
 
 
-def test_spec_bytes_rejects_trailing_garbage():
-    blob = spec_to_bytes(tiny_spec()) + b"\x00"
-    with pytest.raises(ValueError, match="trailing"):
-        spec_from_bytes(blob, 3)
+def test_reference_net_names_each_build():
+    for name in REFERENCE_NETS:
+        for classes, channels in ((3, 1), (7, 9)):
+            assert reference_net(build_net(name, classes, channels)) == name
+
+
+def test_reference_net_rejects_other_topologies():
+    with pytest.raises(ValueError, match="none of the reference networks"):
+        reference_net(tiny_spec())
+    changed = with_dropout_rate(build_net("googlenet-small", 3, 1), 0.25)
+    with pytest.raises(ValueError, match="none of the reference networks"):
+        reference_net(changed)

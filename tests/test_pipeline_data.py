@@ -203,6 +203,15 @@ def test_load_gnt_size_mismatch_names_offset(tmp_path):
         load_gnt(path)
 
 
+def test_load_gnt_rejects_empty_images(tmp_path):
+    path = tmp_path / "empty.gnt"
+    for width, height in ((0, 0), (0, 3), (3, 0)):
+        path.write_bytes(gnt_record(b"AA", 1, 1, b"\x00") +
+                         gnt_record(b"BB", width, height, b""))
+        with pytest.raises(ValueError, match=f"byte 11: empty {width}x{height}"):
+            load_gnt(path)
+
+
 def test_load_gnt_truncated_body(tmp_path):
     path = tmp_path / "trunc.gnt"
     path.write_bytes(gnt_record(b"AA", 4, 4, bytes(16))[:20])
@@ -258,6 +267,15 @@ def test_pgm_rejects_bad_files(tmp_path):
     short.write_bytes(b"P5\n4 4\n255\n\x00")
     with pytest.raises(ValueError, match="pixel bytes"):
         read_pgm(short)
+    bright = tmp_path / "bright.pgm"
+    bright.write_bytes(b"P5\n2 1\n100\n" + bytes([50, 101]))
+    with pytest.raises(ValueError, match="exceeds maxval 100"):
+        read_pgm(bright)
+    for extent in (b"0 3", b"3 0", b"-1 -1"):
+        empty = tmp_path / "empty.pgm"
+        empty.write_bytes(b"P5\n" + extent + b"\n255\n")
+        with pytest.raises(ValueError, match="empty"):
+            read_pgm(empty)
 
 
 def build_image_dir(root, per_class=2):

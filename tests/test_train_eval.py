@@ -12,11 +12,17 @@ from hccr.network_builder import (
     NetworkSpec,
     ReLU,
     Softmax,
+    build_hccr_googlenet,
     count_parameters,
     init_weights,
-    spec_to_bytes,
 )
-from hccr.pipeline_data import PreprocSpec, preprocess_dataset, shuffle_split, synth_glyphs
+from hccr.pipeline_data import (
+    PREPROC_PRESETS,
+    PreprocSpec,
+    preprocess_dataset,
+    shuffle_split,
+    synth_glyphs,
+)
 from hccr.train_eval import (
     LR_DECAY,
     EvalReport,
@@ -191,8 +197,9 @@ def test_topk_monotone_and_overflow_warns(glyph_splits):
     _, val_set = glyph_splits
     spec = mini_spec()
     params = init_weights(spec, 0)
-    with pytest.warns(UserWarning, match="top-10"):
+    with pytest.warns(UserWarning) as caught:
         report = evaluate_topk(spec, params, val_set, ks=(1, 2, 5, 10))
+    assert [str(w.message).split()[0] for w in caught] == ["top-5", "top-10"]
     assert report.topk[1] <= report.topk[2] <= report.topk[5] <= report.topk[10]
     assert report.topk[5] == 100.0 and report.topk[10] == 100.0
     assert report.mean_loss > 0
@@ -291,78 +298,67 @@ def test_relative_error_reduction_validation():
 # ---------------------------------------------------------------------------
 # persistence and size accounting
 
-def test_save_load_round_trip(tmp_path, glyph_splits):
-    train_set, val_set = glyph_splits
-    spec = mini_spec()
-    cfg = TrainConfig(epochs=1, batch_size=16, lr=0.05, dropout=0.0, seed=7)
-    params, _ = train(spec, train_set, cfg)
-    path = tmp_path / "mini.hcrm"
+def saved_spec():
+    return build_hccr_googlenet("reference-small", class_count=3)
+
+
+def test_save_load_round_trip(tmp_path):
+    data = preprocess_dataset(synth_glyphs(3, 8, noise=0.05, seed=1),
+                              PREPROC_PRESETS["googlenet-small"])
+    spec = saved_spec()
+    cfg = TrainConfig(epochs=1, batch_size=8, lr=0.05, dropout=0.0, seed=7)
+    params, _ = train(spec, data, cfg)
+    path = tmp_path / "goog.hcrm"
     written = save_model(spec, params, path)
     assert written == path.stat().st_size
     assert written == serialized_size_report(spec).projected_bytes
     loaded_spec, loaded_params = load_model(path)
     assert loaded_spec == spec
-    x = stack_batch([s.image for s in val_set.samples], "original")
+    x = stack_batch([s.image for s in data.samples], "original")
     before, _ = forward_net(spec, params, x, mode="infer")
     after, _ = forward_net(loaded_spec, loaded_params, x, mode="infer")
     assert np.array_equal(before, after)
 
 
 def test_weights_section_is_four_bytes_per_parameter(tmp_path):
-    spec = mini_spec()
+    spec = saved_spec()
     params = init_weights(spec, 0)
     path = tmp_path / "m.hcrm"
     written = save_model(spec, params, path)
-    assert written - 16 - len(spec_to_bytes(spec)) == 4 * count_parameters(spec)
+    assert written - 32 == 4 * count_parameters(spec)     # fixed 32-byte header
     assert written == serialized_size_report(spec).projected_bytes
+    assert path.read_bytes()[16:32] == b"googlenet-small\0"
 
 
 def test_load_rejects_corruption(tmp_path):
-    spec = mini_spec()
+    spec = saved_spec()
     path = tmp_path / "m.hcrm"
     save_model(spec, init_weights(spec, 0), path)
     good = path.read_bytes()
+    # header: magic, then u32 version, classes, channels, then the 16-byte name
+    zero = (0).to_bytes(4, "little")
+    cases = [
+        ("magic", b"XXXX" + good[4:]),
+        ("unsupported version 9", good[:4] + (9).to_bytes(4, "little") + good[8:]),
+        ("unsupported version 1", good[:4] + (1).to_bytes(4, "little") + good[8:]),
+        ("expected", good[:-5]),
+        ("expected", good + b"\x00\x00\x00"),
+        ("too short", good[:10]),
+        ("unknown network", good[:16] + b"resnet-small".ljust(16, b"\0") + good[32:]),
+        ("0 classes", good[:8] + zero + good[12:]),
+        ("0 input channels", good[:12] + zero + good[16:]),
+    ]
+    for match, data in cases:
+        bad = tmp_path / "bad.hcrm"
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=match):
+            load_model(bad)
 
-    bad_magic = tmp_path / "magic.hcrm"
-    bad_magic.write_bytes(b"XXXX" + good[4:])
-    with pytest.raises(ValueError, match="magic"):
-        load_model(bad_magic)
 
-    bad_version = tmp_path / "version.hcrm"
-    bad_version.write_bytes(good[:4] + (9).to_bytes(4, "little") + good[8:])
-    with pytest.raises(ValueError, match="version"):
-        load_model(bad_version)
-
-    truncated = tmp_path / "short.hcrm"
-    truncated.write_bytes(good[:-5])
-    with pytest.raises(ValueError, match="expected"):
-        load_model(truncated)
-
-    padded = tmp_path / "long.hcrm"
-    padded.write_bytes(good + b"\x00\x00\x00")
-    with pytest.raises(ValueError, match="expected"):
-        load_model(padded)
-
-    header_only = tmp_path / "header.hcrm"
-    header_only.write_bytes(good[:10])
-    with pytest.raises(ValueError, match="too short"):
-        load_model(header_only)
-
-    # the first layer (a conv with 4 fields) starts after the 16-byte file
-    # header and the 16-byte spec header; its field count is byte 33
-    for count in (3, 5):
-        bad_fields = tmp_path / f"fields{count}.hcrm"
-        bad_fields.write_bytes(good[:33] + bytes([count]) + good[34:])
-        with pytest.raises(ValueError, match="fields"):
-            load_model(bad_fields)
-
-    # the spec block ends with the softmax's (tag 7, no fields); make it a relu
-    blob_end = 16 + int.from_bytes(good[12:16], "little")
-    assert good[blob_end - 2:blob_end] == bytes([7, 0])
-    no_softmax = tmp_path / "nosoftmax.hcrm"
-    no_softmax.write_bytes(good[:blob_end - 2] + bytes([3, 0]) + good[blob_end:])
-    with pytest.raises(ValueError, match="softmax"):
-        load_model(no_softmax)
+def test_save_rejects_other_topologies(tmp_path):
+    spec = mini_spec()
+    with pytest.raises(ValueError, match="reference networks"):
+        save_model(spec, init_weights(spec, 0), tmp_path / "mini.hcrm")
 
 
 def test_storage_projection_for_reference_parameter_count():
@@ -373,7 +369,7 @@ def test_storage_projection_for_reference_parameter_count():
 
 
 def test_save_rejects_wrong_shapes(tmp_path):
-    spec = mini_spec()
+    spec = saved_spec()
     params = init_weights(spec, 0)
     name = next(iter(params.keys()))
     params.tensors[name] = np.zeros((1, 1), dtype=np.float32)

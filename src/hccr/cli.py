@@ -41,11 +41,11 @@ from .train_eval import (
     evaluate_topk,
     format_training_log,
     load_model,
+    model_bytes,
     predict,
     report_keyvalues,
     report_table,
     save_model,
-    serialized_size_report,
     top1_percent,
     train,
 )
@@ -57,25 +57,16 @@ class UsageError(Exception):
     """Bad flag combination detected after parsing; exits with code 2."""
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _nonneg_float(text):
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(kind, minimum):
+    """argparse type: `kind` of the text, refused below `minimum`; named after
+    `kind`, so malformed text reads "invalid int value"."""
+    def parse(text):
+        value = kind(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _print_config(args):
@@ -87,7 +78,10 @@ def _print_config(args):
 def _load_raw(args):
     if (args.data is None) == (args.gnt is None):
         raise UsageError("exactly one of --data or --gnt is required")
-    return load_image_dir(args.data) if args.data else load_gnt(args.gnt)
+    raw = load_image_dir(args.data) if args.data else load_gnt(args.gnt)
+    if not raw.samples:
+        raise ValueError(f"no samples in {args.data or args.gnt}")
+    return raw
 
 
 def _eval_subsets(args, specs):
@@ -132,10 +126,10 @@ def cmd_synth(args):
         root.mkdir(parents=True, exist_ok=True)
         counters = {}
         for sample in data.samples:
-            class_dir = root / sample.class_name
+            class_dir = root / data.class_names[sample.label]
             class_dir.mkdir(exist_ok=True)
-            index = counters.get(sample.class_name, 0)
-            counters[sample.class_name] = index + 1
+            index = counters.get(sample.label, 0)
+            counters[sample.label] = index + 1
             write_pgm(class_dir / f"{index:04d}.pgm", sample.image)
         print(f"wrote {len(data.samples)} images in {data.class_count} "
               f"classes under {root}")
@@ -184,17 +178,15 @@ def cmd_extract(args):
     raw = _load_raw(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    plane_count = None
     for index, sample in enumerate(raw.samples):
         stack = stack_input(sample.image, args.mode)
-        tc.write_dtns(out / f"{index:05d}_{sample.class_name}.dtns",
+        tc.write_dtns(out / f"{index:05d}_{raw.class_names[sample.label]}.dtns",
                       stack.planes)
         if index == 0:
-            plane_count = stack.planes.shape[0]
             for j, plane in enumerate(stack.planes):
                 write_pgm(out / f"plane{j:02d}.pgm", plane)
-    print(f"wrote {len(raw.samples)} tensors ({plane_count} planes each) "
-          f"under {out}")
+    print(f"wrote {len(raw.samples)} tensors ({MODE_CHANNELS[args.mode]} planes "
+          f"each) under {out}")
     return 0
 
 
@@ -232,15 +224,15 @@ def cmd_inspect(args):
         raise UsageError("inspect takes exactly one --model")
     path = args.model[0]
     spec, _ = load_model(path)
-    size = serialized_size_report(spec)
+    size = model_bytes(spec)
     print(f"weighted_layers={count_layers(spec, 'weighted')}")
     print(f"weighted_pooling_io_layers="
           f"{count_layers(spec, 'weighted+pooling+io')}")
     print(f"inception_modules={count_inception_modules(spec)}")
     print(f"parameters={count_parameters(spec)}")
     print(f"file_bytes={Path(path).stat().st_size}")
-    print(f"projected_bytes={size.projected_bytes}")
-    print(f"size_human={size.human}")
+    print(f"projected_bytes={size}")
+    print(f"size_human={size / 2 ** 20:.2f} MiB")
     return 0
 
 
@@ -254,6 +246,15 @@ def _add_data_flags(sub):
                      help="binary GNT sample file")
 
 
+def _add_scoring_flags(sub):
+    sub.add_argument("--split", choices=("train", "test"), default="test",
+                     help="which side of the held-out split to score")
+    sub.add_argument("--seed", type=_at_least(int, 0), default=0,
+                     help="split seed; match the training run to reuse its split")
+    sub.add_argument("--batch", type=_at_least(int, 1), default=128,
+                     help="evaluation batch size")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hccr",
@@ -264,13 +265,13 @@ def build_parser():
 
     synth = subs.add_parser("synth", formatter_class=fmt,
                             help="generate a synthetic glyph dataset")
-    synth.add_argument("--classes", type=_positive_int, required=True,
+    synth.add_argument("--classes", type=_at_least(int, 1), required=True,
                        help="number of glyph classes (1-100)")
-    synth.add_argument("--per-class", type=_positive_int, required=True,
+    synth.add_argument("--per-class", type=_at_least(int, 1), required=True,
                        help="samples per class")
-    synth.add_argument("--noise", type=_nonneg_float, default=0.0,
+    synth.add_argument("--noise", type=_at_least(float, 0), default=0.0,
                        help="uniform pixel noise amplitude")
-    synth.add_argument("--seed", type=_nonneg_int, default=0,
+    synth.add_argument("--seed", type=_at_least(int, 0), default=0,
                        help="generation seed")
     synth.add_argument("--out", metavar="PATH", default=None,
                        help="directory for per-class PGM folders")
@@ -285,15 +286,15 @@ def build_parser():
     _add_data_flags(tr)
     tr.add_argument("--mode", choices=tuple(MODE_CHANNELS), default="original",
                     help="input feature stacking")
-    tr.add_argument("--epochs", type=_nonneg_int, default=20,
+    tr.add_argument("--epochs", type=_at_least(int, 0), default=20,
                     help="training epochs")
-    tr.add_argument("--batch", type=_positive_int, default=64,
+    tr.add_argument("--batch", type=_at_least(int, 1), default=64,
                     help="minibatch size")
-    tr.add_argument("--lr", type=_nonneg_float, default=0.01,
+    tr.add_argument("--lr", type=_at_least(float, 0), default=0.01,
                     help="initial learning rate")
-    tr.add_argument("--momentum", type=_nonneg_float, default=0.9,
+    tr.add_argument("--momentum", type=_at_least(float, 0), default=0.9,
                     help="SGD momentum")
-    tr.add_argument("--seed", type=_nonneg_int, default=0,
+    tr.add_argument("--seed", type=_at_least(int, 0), default=0,
                     help="seed for init, shuffling, and the held-out split")
     tr.add_argument("--out", metavar="PATH", default=None,
                     help="model file to write")
@@ -308,12 +309,7 @@ def build_parser():
                     help="input feature stacking (must match the model); "
                          "default is the one mode that stacks the model's "
                          "channel count")
-    ev.add_argument("--split", choices=("train", "test"), default="test",
-                    help="which side of the held-out split to score")
-    ev.add_argument("--seed", type=_nonneg_int, default=0,
-                    help="split seed; match the training run to reuse its split")
-    ev.add_argument("--batch", type=_positive_int, default=128,
-                    help="evaluation batch size")
+    _add_scoring_flags(ev)
     ev.set_defaults(func=cmd_eval)
 
     ex = subs.add_parser("extract", formatter_class=fmt,
@@ -335,12 +331,7 @@ def build_parser():
                     help="member input mode; one value for all members or one "
                          "per member; default is the one mode that stacks "
                          "each model's channel count")
-    en.add_argument("--split", choices=("train", "test"), default="test",
-                    help="which side of the held-out split to score")
-    en.add_argument("--seed", type=_nonneg_int, default=0,
-                    help="split seed; match the training run to reuse its split")
-    en.add_argument("--batch", type=_positive_int, default=128,
-                    help="evaluation batch size")
+    _add_scoring_flags(en)
     en.set_defaults(func=cmd_ensemble)
 
     ins = subs.add_parser("inspect", formatter_class=fmt,

@@ -126,9 +126,9 @@ def gabor_maps(image, spec=None):
 # ---------------------------------------------------------------------------
 # chaincode gradient decomposition
 
-SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=tc.FLOAT)
-SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=tc.FLOAT)
-_SOBEL = np.stack([SOBEL_X, SOBEL_Y])
+_SOBEL = np.array([[[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]],         # x
+                   [[-1, -2, -1], [0, 0, 0], [1, 2, 1]]],       # y
+                  dtype=tc.FLOAT)
 
 # Compass unit vectors 45 degrees apart, east first, counterclockwise,
 # in (x east, y north) coordinates.
@@ -256,7 +256,6 @@ def hog_maps(image):
 @dataclass(frozen=True)
 class FeatureStack:
     planes: np.ndarray          # [C, H, W], float32, values in [0, 1]
-    mode: str
 
 
 MODE_CHANNELS = {
@@ -301,4 +300,4 @@ def stack_batch(images, mode):
 
 def stack_input(image, mode):
     """stack_batch of one 2-d image, as a FeatureStack [C, H, W]."""
-    return FeatureStack(stack_batch(np.asarray(image)[None], mode)[0], mode)
+    return FeatureStack(stack_batch(np.asarray(image)[None], mode)[0])

@@ -95,6 +95,11 @@ class Dropout(_Layer):
         return tc.dropout_taped(tape, x, self.rate, rng)
 
 
+def _divided(widths, divisor):
+    """Each width divided by `divisor`, rounded up, never below 1."""
+    return tuple(max(1, math.ceil(v / divisor)) for v in widths)
+
+
 @dataclass(frozen=True)
 class InceptionSpec:
     """Channel widths of the four parallel branches.
@@ -122,9 +127,9 @@ class InceptionSpec:
         return self.c1 + self.c3 + self.c5 + self.pp
 
     def scaled(self, divisor):
-        """Widths divided by `divisor`, rounded up, never below 1."""
-        return InceptionSpec(*(max(1, math.ceil(v / divisor)) for v in
-                               (self.c1, self.r3, self.c3, self.r5, self.c5, self.pp)))
+        """Every width divided by `divisor` (see `_divided`)."""
+        return InceptionSpec(*_divided(
+            (self.c1, self.r3, self.c3, self.r5, self.c5, self.pp), divisor))
 
 
 @dataclass(frozen=True)
@@ -216,6 +221,8 @@ def validate_spec(spec):
     if len(spec.input_shape) != 3 or any(e < 1 for e in spec.input_shape):
         raise ShapeError(f"input shape must be (C, H, W) with positive extents, "
                          f"got {spec.input_shape}")
+    if spec.class_count < 1:
+        raise ShapeError(f"class count must be >= 1, got {spec.class_count}")
     softmax_positions = [i for i, l in enumerate(spec.layers)
                          if isinstance(l, Softmax)]
     if softmax_positions != [len(spec.layers) - 1]:
@@ -321,8 +328,16 @@ GOOGLENET_FULL_TAIL = (272, 256)
 ALEXNET_FULL_CONVS = (96, 256, 384, 384, 256)
 ALEXNET_FULL_FC = (1024, 1024)
 
-SMALL_DIVISOR = 8
 DROPOUT_RATE = 0.5      # stored in the spec; training may override it
+
+
+def _scale(scale, class_count):
+    """(width divisor, class count or the scale's default) of a reference scale."""
+    scales = {"reference-full": (1, 3755), "reference-small": (8, 10)}
+    if scale not in scales:
+        raise ValueError(f"unknown scale {scale!r}")
+    divisor, default_count = scales[scale]
+    return divisor, default_count if class_count is None else class_count
 
 
 def build_hccr_googlenet(scale="reference-full", *, class_count=None, in_channels=1):
@@ -332,19 +347,11 @@ def build_hccr_googlenet(scale="reference-full", *, class_count=None, in_channel
     3755 classes; reference-small divides every width by 8 and takes 32x32
     input for desk-scale training.
     """
-    if scale == "reference-full":
-        stem, tail = GOOGLENET_FULL_STEM, GOOGLENET_FULL_TAIL
-        incs = GOOGLENET_FULL_INCEPTIONS
-        input_size = 120
-        class_count = class_count or 3755
-    elif scale == "reference-small":
-        stem = tuple(max(1, math.ceil(v / SMALL_DIVISOR)) for v in GOOGLENET_FULL_STEM)
-        tail = tuple(max(1, math.ceil(v / SMALL_DIVISOR)) for v in GOOGLENET_FULL_TAIL)
-        incs = tuple(s.scaled(SMALL_DIVISOR) for s in GOOGLENET_FULL_INCEPTIONS)
-        input_size = 32
-        class_count = class_count or 10
-    else:
-        raise ValueError(f"unknown scale {scale!r}")
+    divisor, class_count = _scale(scale, class_count)
+    stem = _divided(GOOGLENET_FULL_STEM, divisor)
+    tail = _divided(GOOGLENET_FULL_TAIL, divisor)
+    incs = tuple(s.scaled(divisor) for s in GOOGLENET_FULL_INCEPTIONS)
+    input_size = 120 if divisor == 1 else 32
 
     layers = (
         Conv(stem[0], 7, stride=2, pad=3), ReLU(), MaxPool(3, 2, 1),
@@ -366,17 +373,10 @@ def build_hccr_alexnet(scale="reference-full", *, class_count=None, in_channels=
     Max pooling follows conv groups 1, 2 and 5; dropout precedes the first
     two fully-connected layers. reference-full takes 114x114 input.
     """
-    if scale == "reference-full":
-        convs, fcs = ALEXNET_FULL_CONVS, ALEXNET_FULL_FC
-        input_size = 114
-        class_count = class_count or 3755
-    elif scale == "reference-small":
-        convs = tuple(max(1, math.ceil(v / SMALL_DIVISOR)) for v in ALEXNET_FULL_CONVS)
-        fcs = tuple(max(1, math.ceil(v / SMALL_DIVISOR)) for v in ALEXNET_FULL_FC)
-        input_size = 32
-        class_count = class_count or 10
-    else:
-        raise ValueError(f"unknown scale {scale!r}")
+    divisor, class_count = _scale(scale, class_count)
+    convs = _divided(ALEXNET_FULL_CONVS, divisor)
+    fcs = _divided(ALEXNET_FULL_FC, divisor)
+    input_size = 114 if divisor == 1 else 32
 
     layers = (
         Conv(convs[0], 7, stride=2, pad=3), ReLU(), MaxPool(3, 2, 1),
@@ -424,7 +424,7 @@ def with_dropout_rate(spec, rate):
 # ---------------------------------------------------------------------------
 # forward execution
 
-def _forward_logits(spec, params, x, tape, rng):
+def _forward_logits(spec, params, x, tape=None, rng=None):
     """Run every layer before the terminal softmax, recording on `tape` if given.
 
     Returns the logits node. The tape gets every parameter, and the input
@@ -452,19 +452,12 @@ def _forward_logits(spec, params, x, tape, rng):
     return cur
 
 
-def forward_net(spec, params, x, mode="infer", rng=None):
-    """Run the network on a batch. Returns (probabilities, tape).
-
-    The tape is None in infer mode (dropout inactive, nothing recorded).
-    Train mode records every op up to the logits (the tape's output),
-    registers every parameter on the tape, and needs an rng when any
-    dropout layer has a positive rate.
-    """
-    if mode not in ("train", "infer"):
+def forward_net(spec, params, x, mode="infer"):
+    """Probabilities of a batch, dropout off and nothing recorded, as
+    (probabilities, None). "infer" is the only mode; training runs loss_and_grads."""
+    if mode != "infer":
         raise ValueError(f"unknown mode {mode!r}")
-    tape = Tape() if mode == "train" else None
-    logits = _forward_logits(spec, params, x, tape, rng)
-    return tc.softmax(logits.value), tape
+    return tc.softmax(_forward_logits(spec, params, x).value), None
 
 
 def loss_and_grads(spec, params, x, labels, rng=None):

@@ -21,8 +21,7 @@ from . import tensor_core as tc
 @dataclass(frozen=True)
 class Sample:
     image: np.ndarray           # [H, W] grayscale in [0, 1]
-    label: int
-    class_name: str
+    label: int                  # index into its dataset's class_names
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
 
     def labels(self):
         return np.array([s.label for s in self.samples], dtype=np.int64)
@@ -157,8 +153,7 @@ def load_gnt(path):
     """
     data = Path(path).read_bytes()
     samples = []
-    names = {}
-    class_names = []
+    names = {}                  # tag -> label, in order of first appearance
     offset = 0
     while offset < len(data):
         if offset + 10 > len(data):
@@ -177,29 +172,26 @@ def load_gnt(path):
         pixels = np.frombuffer(data, dtype=np.uint8, count=width * height,
                                offset=offset + 10)
         image = (pixels.reshape(height, width) / np.float32(255.0)).astype(tc.FLOAT)
-        name = tag.decode("latin-1")
-        if name not in names:
-            names[name] = len(class_names)
-            class_names.append(name)
-        samples.append(Sample(image, names[name], name))
+        label = names.setdefault(tag.decode("latin-1"), len(names))
+        samples.append(Sample(image, label))
         offset += size
-    return Dataset(samples, tuple(class_names))
+    return Dataset(samples, tuple(names))
 
 
 def write_gnt(dataset, path):
     """Write samples as GNT records (test-fixture writer, byte-exact inverse).
 
-    Class names that encode to exactly two latin-1 bytes become the tag as
-    is; anything else gets a two-letter tag derived from the class index.
+    Each class name is its samples' two-byte tag; a name that is not two
+    latin-1 characters raises ValueError, so a round trip renames nothing.
     """
+    bad = [name for name in dataset.class_names
+           if len(name) != 2 or max(map(ord, name)) > 255]
+    if bad:
+        raise ValueError(f"GNT tags are two latin-1 bytes; cannot write class "
+                         f"name(s) {', '.join(map(repr, bad))}")
     out = bytearray()
     for sample in dataset.samples:
-        try:
-            tag = sample.class_name.encode("latin-1")
-        except UnicodeEncodeError:
-            tag = b""
-        if len(tag) != 2:
-            tag = bytes((65 + sample.label // 26, 65 + sample.label % 26))
+        tag = dataset.class_names[sample.label].encode("latin-1")
         image = np.asarray(sample.image)
         pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
         h, w = pixels.shape
@@ -278,7 +270,7 @@ def load_image_dir(root):
             except (ValueError, OSError):
                 skipped += 1
                 continue
-            samples.append(Sample(image, index, class_dir.name))
+            samples.append(Sample(image, index))
     if skipped:
         warnings.warn(f"skipped {skipped} unreadable image(s) under {root}")
     return Dataset(samples, tuple(d.name for d in class_dirs))
@@ -324,11 +316,7 @@ def _render_segments(segments, thickness):
     ink = np.zeros((GLYPH_SIZE, GLYPH_SIZE))
     for (x0, y0), (x1, y1) in segments:
         dx, dy = x1 - x0, y1 - y0
-        length_sq = dx * dx + dy * dy
-        if length_sq == 0:
-            t = np.zeros_like(cols)
-        else:
-            t = np.clip(((cols - x0) * dx + (rows - y0) * dy) / length_sq, 0, 1)
+        t = np.clip(((cols - x0) * dx + (rows - y0) * dy) / (dx * dx + dy * dy), 0, 1)
         dist = np.hypot(cols - (x0 + t * dx), rows - (y0 + t * dy))
         ink = np.maximum(ink, np.clip(thickness / 2 + 0.5 - dist, 0, 1))
     return (1.0 - ink).astype(tc.FLOAT)   # dark strokes on a white ground
@@ -375,7 +363,7 @@ def synth_glyphs(class_count, samples_per_class, noise=0.0, seed=0):
                 image = np.clip(
                     image + rng.uniform(-noise, noise, image.shape), 0, 1
                 ).astype(tc.FLOAT)
-            samples.append(Sample(image, label, class_names[label]))
+            samples.append(Sample(image, label))
     return Dataset(samples, class_names)
 
 

@@ -452,9 +452,7 @@ def grad_check(loss_fn, grads_fn, params, epsilon=1e-5, tolerance=1e-4,
 
 def write_dtns(path, array):
     """Dump an array: magic "DTNS", u8 rank, u32 LE extents, f32 LE values."""
-    a = np.ascontiguousarray(array, dtype="<f4")
-    if a.ndim > 255:
-        raise ShapeError("rank exceeds the u8 rank field")
+    a = np.ascontiguousarray(array, dtype="<f4")     # numpy caps the rank at 64
     with open(path, "wb") as f:
         f.write(DTNS_MAGIC)
         f.write(struct.pack("<B", a.ndim))

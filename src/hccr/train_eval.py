@@ -1,8 +1,10 @@
-"""Training loop, top-k evaluation, ensembling, persistence, size accounting.
+"""Training loop, top-k evaluation, ensembling, persistence and model size.
 
 Training is plain minibatch SGD with momentum and a per-epoch multiplicative
-learning-rate decay, fully deterministic for a given seed. Evaluation ranks
-classes by probability with ties resolved toward the lower class index.
+learning-rate decay, fully deterministic for a given seed, one taped
+loss_and_grads pass per step. Validation, evaluation and ensembling score
+through predict on the inference-only forward_net, ranking classes by
+probability with ties resolved toward the lower class index.
 Models persist to a small binary container, HCRM v2: a 32-byte header
 (magic "HCRM", then u32 version, class count and input channels, then the
 reference network's name NUL-padded to 16 bytes), followed by the raw
@@ -188,9 +190,8 @@ def evaluate_topk(spec, params, dataset, ks=(1, 2, 5, 10), mode="original",
     at_label = rank_classes(probs) == labels[:, None]    # where each label ranks
     n = len(labels)
     topk = {k: 100.0 * int(at_label[:, :k].sum()) / n for k in ks}
-    size = serialized_size_report(spec)
     return EvalReport(topk, tc.cross_entropy(probs, labels), n,
-                      size.parameter_count, size.projected_bytes)
+                      count_parameters(spec), model_bytes(spec))
 
 
 def report_keyvalues(report):
@@ -281,7 +282,7 @@ def load_model(path):
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     offset = MODEL_HEADER.size
-    expected = offset + 4 * count_parameters(spec)
+    expected = model_bytes(spec)
     if len(data) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, file has "
                          f"{len(data)}")
@@ -294,14 +295,6 @@ def load_model(path):
     return spec, ParamStore(tensors)
 
 
-@dataclass(frozen=True)
-class SizeReport:
-    parameter_count: int
-    projected_bytes: int        # exact save_model output size
-    human: str
-
-
-def serialized_size_report(spec):
-    count = count_parameters(spec)
-    total = MODEL_HEADER.size + 4 * count
-    return SizeReport(count, total, f"{total / 2 ** 20:.2f} MiB")
+def model_bytes(spec):
+    """Exact size of the file save_model writes for `spec`."""
+    return MODEL_HEADER.size + 4 * count_parameters(spec)

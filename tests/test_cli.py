@@ -66,6 +66,19 @@ def test_bad_flag_value_exits_2():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epochs", "abc", "argument --epochs: invalid int value: 'abc'"),
+    ("--lr", "fast", "argument --lr: invalid float value: 'fast'"),
+    ("--batch", "0", "argument --batch: must be >= 1, got 0"),
+    ("--momentum", "-0.5", "argument --momentum: must be >= 0, got -0.5"),
+])
+def test_bad_number_names_the_flag_and_type(flag, value, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--net", "googlenet-small", "--gnt", "x", flag, value])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["synth", "--classes", "3", "--per-class", "5", "--out", "x",
@@ -170,6 +183,20 @@ def test_train_on_an_empty_gnt_image_exits_1(gnt_path, tmp_path, capsys):
                "--epochs", "0"])
     assert rc == 1
     assert "empty 0x0 image" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["train", "eval", "extract"])
+def test_data_without_samples_exits_1(sub, model_path, tmp_path, capsys):
+    empty_gnt = tmp_path / "empty.gnt"
+    empty_gnt.write_bytes(b"")
+    empty_tree = tmp_path / "tree"
+    (empty_tree / "AA").mkdir(parents=True)     # a class folder with no images
+    flags = {"train": ["--net", "googlenet-small", "--epochs", "0"],
+             "eval": ["--model", str(model_path)],
+             "extract": ["--out", str(tmp_path / "out")]}[sub]
+    for source, path in (("--gnt", empty_gnt), ("--data", empty_tree)):
+        assert main([sub, source, str(path), *flags]) == 1
+        assert f"no samples in {path}" in capsys.readouterr().err
 
 
 def test_missing_data_dir_exits_1(model_path, capsys):

@@ -258,8 +258,8 @@ def test_stack_channel_counts_per_mode():
     image = rng.random((32, 32), dtype=np.float32)
     for mode, channels in MODE_CHANNELS.items():
         stack = stack_input(image, mode)
+        assert isinstance(stack, FeatureStack)
         assert stack.planes.shape == (channels, 32, 32)
-        assert stack.mode == mode
         assert stack.planes.min() >= 0.0 and stack.planes.max() <= 1.0
 
 

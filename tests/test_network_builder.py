@@ -245,6 +245,17 @@ def test_validate_checks_class_count():
         validate_spec(spec)
 
 
+def test_zero_classes_are_refused_not_defaulted():
+    spec = NetworkSpec((1, 8, 8), (GlobalAvgPool(), FullyConnected(0), Softmax()), 0)
+    with pytest.raises(ShapeError, match="class count must be >= 1, got 0"):
+        validate_spec(spec)
+    for name in REFERENCE_NETS:
+        with pytest.raises(ShapeError, match="class count must be >= 1, got 0"):
+            build_net(name, 0, 1)
+    assert build_hccr_googlenet("reference-small").class_count == 10
+    assert build_hccr_alexnet("reference-full").class_count == 3755
+
+
 def test_fc_after_flatten_shape():
     spec = tiny_spec()
     shapes = infer_shapes(spec)
@@ -324,8 +335,7 @@ def test_forward_train_matches_infer_without_dropout():
         params = init_weights(spec, seed=2)
         x = np.random.default_rng(9).random((2, *spec.input_shape), dtype=np.float32)
         p_infer, _ = forward_net(spec, params, x, mode="infer")
-        p_train, tape = forward_net(spec, params, x, mode="train")
-        assert tape is not None
+        p_train = loss_and_grads(spec, params, x, np.array([0, 1]))[1]
         np.testing.assert_array_equal(p_infer, p_train)
 
 
@@ -334,7 +344,7 @@ def test_forward_dropout_needs_rng():
     params = init_weights(spec, seed=2)
     x = np.zeros((1, 1, 8, 8), dtype=np.float32)
     with pytest.raises(ValueError, match="rng"):
-        forward_net(spec, params, x, mode="train")
+        loss_and_grads(spec, params, x, np.array([0]))
 
 
 def test_forward_rejects_wrong_input_shape():
@@ -349,8 +359,9 @@ def test_forward_rejects_wrong_input_shape():
 def test_forward_rejects_unknown_mode():
     spec = tiny_spec()
     params = init_weights(spec, seed=0)
-    with pytest.raises(ValueError, match="mode"):
-        forward_net(spec, params, np.zeros((1, 1, 8, 8), dtype=np.float32), mode="test")
+    for mode in ("test", "train"):      # training goes through loss_and_grads
+        with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+            forward_net(spec, params, np.zeros((1, 1, 8, 8), dtype=np.float32), mode=mode)
 
 
 def test_loss_and_grads_covers_every_parameter():

@@ -1,5 +1,6 @@
 """Tests for preprocessing, dataset io, and the synthetic glyph task."""
 
+import re
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from hccr.pipeline_data import (
     PREPROC_PRESETS,
+    Dataset,
     PreprocSpec,
     Sample,
     center_pad,
@@ -149,10 +151,10 @@ def test_preproc_spec_validation():
 def test_preprocess_white_background_becomes_zero_margin():
     rng = np.random.default_rng(6)
     image = np.clip(0.9 + 0.1 * rng.random((77, 30)), 0, 1).astype(np.float32)
-    sample = Sample(image, 3, "xx")
+    sample = Sample(image, 3)
     out = preprocess(sample, PREPROC_PRESETS["googlenet-full"])
     assert out.image.shape == (120, 120)
-    assert out.label == 3 and out.class_name == "xx"
+    assert out.label == 3
     assert out.image[0, 0] == 0.0          # mask margin
     assert out.image[4, 4] <= 0.1 + 1e-6   # inverted near-white scan
     assert out.image.min() >= 0.0 and out.image.max() <= 1.0
@@ -160,7 +162,7 @@ def test_preprocess_white_background_becomes_zero_margin():
 
 def test_preprocess_deterministic():
     rng = np.random.default_rng(7)
-    sample = Sample(rng.random((41, 53), dtype=np.float32), 1, "ab")
+    sample = Sample(rng.random((41, 53), dtype=np.float32), 1)
     a = preprocess(sample, PREPROC_PRESETS["alexnet-small"])
     b = preprocess(sample, PREPROC_PRESETS["alexnet-small"])
     np.testing.assert_array_equal(a.image, b.image)
@@ -182,7 +184,7 @@ def test_load_gnt_hand_built_record(tmp_path):
     assert ds.class_names == ("AB",)
     sample = ds.samples[0]
     assert sample.image.shape == (3, 2)
-    assert sample.class_name == "AB" and sample.label == 0
+    assert sample.label == 0
     np.testing.assert_allclose(sample.image,
                                np.arange(6).reshape(3, 2) / 255.0, atol=1e-7)
 
@@ -236,6 +238,15 @@ def test_gnt_round_trip_byte_exact(tmp_path):
     write_gnt(ds, first)
     write_gnt(load_gnt(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["ABC", "A", "\u4e00A"])
+def test_write_gnt_refuses_names_that_are_not_two_latin1_bytes(tmp_path, name):
+    ds = synth_glyphs(2, 1, seed=0)
+    ds = Dataset(ds.samples, (ds.class_names[0], name))
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        write_gnt(ds, tmp_path / "x.gnt")
+    assert not (tmp_path / "x.gnt").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +304,7 @@ def test_load_image_dir_lexicographic_classes(tmp_path):
     ds = load_image_dir(tmp_path)
     assert ds.class_names == ("a", "b")
     assert len(ds) == 4
-    a_sample = next(s for s in ds.samples if s.class_name == "a")
-    assert a_sample.label == 0
+    a_sample = next(s for s in ds.samples if s.label == 0)
     assert a_sample.image[0, 0] == pytest.approx(128 / 255.0, abs=1e-7)
 
 

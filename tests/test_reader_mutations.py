@@ -83,8 +83,7 @@ def test_load_gnt_mutations(workdir, data):
     dataset = read_mutated(load_gnt, workdir / "g.gnt", data)
     if dataset is not None:
         assert all(valid_image(s.image) for s in dataset.samples)
-        assert all(dataset.class_names[s.label] == s.class_name
-                   for s in dataset.samples)
+        assert all(0 <= s.label < dataset.class_count for s in dataset.samples)
 
 
 GOOD_PGM = b"P5\n# comment\n4 3\n255\n" + bytes(range(0, 240, 20))

@@ -32,12 +32,12 @@ from hccr.train_eval import (
     evaluate_topk,
     format_training_log,
     load_model,
+    model_bytes,
     rank_classes,
     relative_error_reduction,
     report_keyvalues,
     report_table,
     save_model,
-    serialized_size_report,
     train,
 )
 from hccr.directional_features import stack_batch
@@ -217,9 +217,8 @@ def test_eval_report_sizes_match_size_report(glyph_splits):
     _, val_set = glyph_splits
     spec = mini_spec()
     report = evaluate_topk(spec, init_weights(spec, 0), val_set, ks=(1,))
-    size = serialized_size_report(spec)
-    assert report.parameter_count == size.parameter_count
-    assert report.serialized_bytes == size.projected_bytes
+    assert report.parameter_count == count_parameters(spec)
+    assert report.serialized_bytes == model_bytes(spec)
 
 
 def test_report_renderers():
@@ -311,7 +310,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "goog.hcrm"
     written = save_model(spec, params, path)
     assert written == path.stat().st_size
-    assert written == serialized_size_report(spec).projected_bytes
+    assert written == model_bytes(spec)
     loaded_spec, loaded_params = load_model(path)
     assert loaded_spec == spec
     x = stack_batch([s.image for s in data.samples], "original")
@@ -326,7 +325,7 @@ def test_weights_section_is_four_bytes_per_parameter(tmp_path):
     path = tmp_path / "m.hcrm"
     written = save_model(spec, params, path)
     assert written - 32 == 4 * count_parameters(spec)     # fixed 32-byte header
-    assert written == serialized_size_report(spec).projected_bytes
+    assert written == model_bytes(spec)
     assert path.read_bytes()[16:32] == b"googlenet-small\0"
 
 

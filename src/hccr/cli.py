@@ -180,8 +180,9 @@ def cmd_extract(args):
     out.mkdir(parents=True, exist_ok=True)
     for index, sample in enumerate(raw.samples):
         stack = stack_input(sample.image, args.mode)
-        tc.write_dtns(out / f"{index:05d}_{raw.class_names[sample.label]}.dtns",
-                      stack.planes)
+        name = "".join(f"%{ord(ch):02X}" if ch in "/\0%" else ch
+                       for ch in raw.class_names[sample.label])     # one path component
+        tc.write_dtns(out / f"{index:05d}_{name}.dtns", stack.planes)
         if index == 0:
             for j, plane in enumerate(stack.planes):
                 write_pgm(out / f"plane{j:02d}.pgm", plane)

@@ -2,8 +2,12 @@
 
 Everything operates on plain numpy arrays. Working precision is float32;
 the same kernels run unchanged on float64 arrays, which is how gradient
-checking gets its extra headroom. Layout for image tensors is NCHW,
-row-major.
+checking gets its extra headroom. The network runs its image tensors
+batch-last, [C, H, W, N] row-major, the layout of im2col-lowered
+convolution: a conv is one GEMM whose product is already the next layer's
+input, and a 1x1 stride-1 conv needs no unfold at all. The public conv2d
+and maxpool2d take NCHW and wrap the same kernels in one transpose each
+way.
 """
 
 import math
@@ -35,109 +39,127 @@ def conv_output_extent(size, kernel, stride, pad):
     return out
 
 
-def _windows(x, kh, kw, stride, pad):
-    """Strided view of the sliding windows of a zero-padded NCHW tensor,
-    shape (N, C, Ho, Wo, kh, kw)."""
-    n, c, h, w = x.shape
+def _cells(kh, kw, stride, ho, wo):
+    """Slice i*kw + j of a [C, H, W, N] grid holds cell (i, j) of every window."""
+    return [(slice(None), slice(i, i + stride * (ho - 1) + 1, stride),
+             slice(j, j + stride * (wo - 1) + 1, stride))
+            for i in range(kh) for j in range(kw)]
+
+
+def _padded(x, pad, fill=0):
+    """x[C, H, W, N] with `pad` cells of `fill` around H and W (x itself if none)."""
+    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)),
+                  constant_values=fill) if pad else x
+
+
+def _unfold(x, kh, kw, stride, pad, ho, wo):
+    """cols[C*kh*kw, Ho*Wo*N] of x[C, H, W, N], one slice copy per kernel
+    cell; a 1x1 stride-1 unpadded conv reads x as it is."""
+    c, n = x.shape[0], x.shape[3]
+    if kh * kw == stride == 1 and not pad:
+        return x.reshape(c, -1)
+    xp = _padded(x, pad)
+    cols = np.empty((c, kh * kw, ho, wo, n), dtype=x.dtype)
+    for k, s in enumerate(_cells(kh, kw, stride, ho, wo)):
+        cols[:, k] = xp[s]
+    return cols.reshape(c * kh * kw, ho * wo * n)
+
+
+def _conv(x, w, b, stride=1, pad=0):
+    """conv2d of batch-last x[C, H, W, N]: the GEMM w[F, C*kh*kw] @ cols
+    is already the output [F, Ho, Wo, N]."""
+    if x.ndim != 4 or w.ndim != 4:
+        raise ShapeError(f"conv2d expects 4-D input and weights, got {x.shape} and {w.shape}")
+    c, h, wd, n = x.shape
+    f, cw, kh, kw = w.shape
+    if c != cw:
+        raise ShapeError(f"input has {c} channels but weights expect {cw}")
+    if b.shape != (f,):
+        raise ShapeError(f"bias shape {b.shape} does not match {f} filters")
     ho = conv_output_extent(h, kh, stride, pad)
-    wo = conv_output_extent(w, kw, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    view = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return view[:, :, ::stride, ::stride][:, :, :ho, :wo]
+    wo = conv_output_extent(wd, kw, stride, pad)
+    out = w.reshape(f, -1) @ _unfold(x, kh, kw, stride, pad, ho, wo)
+    out += b[:, None]
+    return out.reshape(f, ho, wo, n)
+
+
+def _conv_backward(g, x, w, stride, pad, need_dx=True):
+    """Gradients of _conv w.r.t. (input, weights, bias) given upstream
+    g[F, Ho, Wo, N], unfolding x again; the input's is None, and costs
+    nothing, unless need_dx."""
+    c, h, wd, n = x.shape
+    f, _, kh, kw = w.shape
+    ho, wo = g.shape[1], g.shape[2]
+    gm = g.reshape(f, -1)
+    dw = (gm @ _unfold(x, kh, kw, stride, pad, ho, wo).T).reshape(w.shape)
+    db = gm.sum(axis=1)
+    if not need_dx:
+        return None, dw, db
+    dcols = (w.reshape(f, -1).T @ gm).reshape(c, kh * kw, ho, wo, n)
+    if kh * kw == stride == 1 and not pad:
+        return dcols.reshape(x.shape), dw, db
+    dxp = np.zeros((c, h + 2 * pad, wd + 2 * pad, n), dtype=x.dtype)
+    for k, s in enumerate(_cells(kh, kw, stride, ho, wo)):
+        dxp[s] += dcols[:, k]
+    return dxp[:, pad:pad + h, pad:pad + wd], dw, db
+
+
+def _to_last(x):
+    """NCHW -> batch-last [C, H, W, N]."""
+    if x.ndim != 4:
+        raise ShapeError(f"expected a 4-D NCHW tensor, got {x.shape}")
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
 
 
 def conv2d(x, w, b, stride=1, pad=0):
     """Cross-correlation of x[N,C,H,W] with w[F,C,Kh,Kw] plus bias[F].
 
     Padding is symmetric zero-fill and every output map reads every input
-    map. No kernel flip; accumulation runs channel-major then kernel rows
-    then columns, so results are reproducible bit for bit.
+    map. No kernel flip; the GEMM's inner dimension runs channel-major then
+    kernel rows then columns, so results are reproducible bit for bit.
     """
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-D input and weights, got {x.shape} and {w.shape}")
-    n, c, h, wd = x.shape
-    f, cw, kh, kw = w.shape
-    if c != cw:
-        raise ShapeError(f"input has {c} channels but weights expect {cw}")
-    if b.shape != (f,):
-        raise ShapeError(f"bias shape {b.shape} does not match {f} filters")
-    view = _windows(x, kh, kw, stride, pad)
-    ho, wo = view.shape[2], view.shape[3]
-    # one GEMM: (N*Ho*Wo, C*Kh*Kw) @ (C*Kh*Kw, F), on an unfold freed right after
-    out = (view.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
-           @ w.reshape(f, c * kh * kw).T)
-    out += b
-    return out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2).copy()
+    return _conv(_to_last(x), w, b, stride, pad).transpose(3, 0, 1, 2).copy()
 
 
-def _conv2d_backward(g, x, w, stride, pad, need_dx=True):
-    """Gradients of conv2d w.r.t. (input, weights, bias) given upstream
-    g[N,F,Ho,Wo]; the input's is None, and costs nothing, unless need_dx."""
-    n, c, h, wd = x.shape
-    f, _, kh, kw = w.shape
-    ho, wo = g.shape[2], g.shape[3]
-    view = _windows(x, kh, kw, stride, pad)
-    gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
-    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
-    dw = (gmat.T @ cols).reshape(f, c, kh, kw)
-    db = gmat.sum(axis=0)
-    if not need_dx:
-        return None, dw, db
-    dcols = (gmat @ w.reshape(f, c * kh * kw)).reshape(n, ho, wo, c, kh, kw)
-    dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    dx = dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
-    return dx, dw, db
-
-
-def _pool_slices(window, stride, ho, wo):
-    """Row-major slices of an H,W grid; slice (i, j) is cell (i, j) of every window."""
-    return [(slice(i, i + stride * (ho - 1) + 1, stride),
-             slice(j, j + stride * (wo - 1) + 1, stride))
-            for i in range(window) for j in range(window)]
-
-
-def maxpool2d(x, window, stride, pad=0):
-    """Max over each window: a running maximum over the window**2 slices of
-    a -inf-padded channel-last copy [H, W, N, C], whose slices are long
-    contiguous runs. Returns (output, saved for maxpool2d_backward)."""
-    if x.ndim != 4:
-        raise ShapeError(f"maxpool2d expects a 4-D tensor, got {x.shape}")
+def _maxpool(x, window, stride, pad=0):
+    """Max over each window of batch-last x[C, H, W, N]: a running maximum
+    over the window**2 slices of a -inf-padded copy. Returns (output, saved
+    for _maxpool_backward)."""
     if window < 1:
         raise ShapeError(f"window must be >= 1, got {window}")
-    n, c, h, w = x.shape
+    c, h, w, n = x.shape
     ho = conv_output_extent(h, window, stride, pad)
     wo = conv_output_extent(w, window, stride, pad)
-    xl = np.full((h + 2 * pad, w + 2 * pad, n, c), -np.inf, dtype=x.dtype)
-    xl[pad:pad + h, pad:pad + w] = x.transpose(2, 3, 0, 1)
-    first, *rest = _pool_slices(window, stride, ho, wo)
+    xl = _padded(x, pad, -np.inf)
+    first, *rest = _cells(window, window, stride, ho, wo)
     out = xl[first].copy()
     for s in rest:
         np.maximum(out, xl[s], out=out)
-    y = np.ascontiguousarray(out.transpose(2, 3, 0, 1))
-    return y, (xl, out, window, stride, pad)
+    return out, (xl, out, window, stride, pad)
 
 
-def maxpool2d_backward(g, saved):
+def _maxpool_backward(g, saved):
     """Give each upstream element to the first row-major cell of its window
     that holds the max. A cell shared by overlapping windows sums them in
     output row-major order, the reverse of slice order. A non-finite
     upstream element also puts NaN in the other cells of its window."""
     xl, out, window, stride, pad = saved
-    slices = _pool_slices(window, stride, *out.shape[:2])
+    cells = _cells(window, window, stride, *out.shape[1:3])
     free, wins = np.ones(out.shape, dtype=bool), []     # free: no winner yet
-    for s in slices:
+    for s in cells:
         wins.append((xl[s] == out) & free)
         free ^= wins[-1]
-    gl = np.ascontiguousarray(g.transpose(2, 3, 0, 1))
     dl = np.zeros(xl.shape, dtype=g.dtype)
-    for s, win in zip(reversed(slices), reversed(wins)):
-        dl[s] += gl * win
-    hp, wp = xl.shape[:2]
-    return np.ascontiguousarray(dl[pad:hp - pad, pad:wp - pad].transpose(2, 3, 0, 1))
+    for s, win in zip(reversed(cells), reversed(wins)):
+        dl[s] += g * win
+    hp, wp = xl.shape[1:3]
+    return dl[:, pad:hp - pad, pad:wp - pad]
+
+
+def maxpool2d(x, window, stride, pad=0):
+    """Max pooling of x[N,C,H,W]. Returns (output, batch-last saved state)."""
+    y, saved = _maxpool(_to_last(x), window, stride, pad)
+    return y.transpose(3, 0, 1, 2).copy(), saved
 
 
 def relu(x):
@@ -150,17 +172,13 @@ def _relu_backward(g, x):
 
 
 def concat_channels(inputs):
-    """Stack NCHW tensors along the channel axis, in argument order."""
+    """Join batch-last [C, H, W, N] tensors along C, in argument order."""
     if not inputs:
         raise ShapeError("concat_channels needs at least one input")
-    base = inputs[0].shape
-    for i, t in enumerate(inputs):
-        if t.ndim != 4 or t.shape[0] != base[0] or t.shape[2:] != base[2:]:
-            raise ShapeError(
-                "concat_channels inputs disagree on N/H/W: "
-                + ", ".join(str(t.shape) for t in inputs)
-            )
-    return np.concatenate(inputs, axis=1)
+    if len({t.shape[1:] for t in inputs}) > 1 or any(t.ndim != 4 for t in inputs):
+        raise ShapeError("concat_channels inputs disagree on H/W/N: "
+                         + ", ".join(str(t.shape) for t in inputs))
+    return np.concatenate(inputs)
 
 
 def fully_connected(x, w, b):
@@ -293,11 +311,11 @@ def _record(tape, name, inputs, output, backward):
 
 
 def conv2d_taped(tape, x, w, b, stride=1, pad=0):
-    out = Node(conv2d(x.value, w.value, b.value, stride, pad))
+    out = Node(_conv(x.value, w.value, b.value, stride, pad))
     need_dx = tape is not None and x not in tape.inputs  # no tape in the closure
 
     def backward(g):
-        dx, dw, db = _conv2d_backward(g, x.value, w.value, stride, pad, need_dx)
+        dx, dw, db = _conv_backward(g, x.value, w.value, stride, pad, need_dx)
         grads = [(w, dw), (b, db)]
         return grads if dx is None else [(x, dx)] + grads
 
@@ -305,11 +323,11 @@ def conv2d_taped(tape, x, w, b, stride=1, pad=0):
 
 
 def maxpool2d_taped(tape, x, window, stride, pad=0):
-    y, saved = maxpool2d(x.value, window, stride, pad)
+    y, saved = _maxpool(x.value, window, stride, pad)
     out = Node(y)
 
     def backward(g):
-        return [(x, maxpool2d_backward(g, saved))]
+        return [(x, _maxpool_backward(g, saved))]
 
     return _record(tape, "maxpool2d", (x,), out, backward)
 
@@ -346,13 +364,24 @@ def dropout_taped(tape, x, rate, rng):
 
 
 def concat_channels_taped(tape, xs):
+    """concat_channels of batch-last tensors; each gradient is a contiguous view."""
     out = Node(concat_channels([x.value for x in xs]))
-    bounds = np.cumsum([0] + [x.value.shape[1] for x in xs])
+    bounds = np.cumsum([0] + [x.value.shape[0] for x in xs])
 
     def backward(g):
-        return [(x, g[:, bounds[i]:bounds[i + 1]]) for i, x in enumerate(xs)]
+        return [(x, g[bounds[i]:bounds[i + 1]]) for i, x in enumerate(xs)]
 
     return _record(tape, "concat", tuple(xs), out, backward)
+
+
+def transposed_taped(tape, x, axes):
+    """x with its axes permuted by `axes`, as a contiguous array."""
+    out = Node(np.ascontiguousarray(x.value.transpose(axes)))
+
+    def backward(g):
+        return [(x, g.transpose(np.argsort(axes)))]
+
+    return _record(tape, "transpose", (x,), out, backward)
 
 
 def fully_connected_taped(tape, x, w, b):

@@ -29,6 +29,31 @@ def conv2d_ref(x, w, b, stride=1, pad=0):
     return out
 
 
+def conv2d_backward_ref(x, w, g, stride=1, pad=0):
+    """(dx, dw, db) of conv2d_ref for upstream g[N,F,Ho,Wo], in float64."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    _, _, ho, wo = g.shape
+    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float64)
+    xp[:, :, pad:pad + h, pad:pad + wd] = x
+    dxp = np.zeros(xp.shape, dtype=np.float64)
+    dw = np.zeros(w.shape, dtype=np.float64)
+    db = np.zeros(f, dtype=np.float64)
+    for ni in range(n):
+        for fi in range(f):
+            for oy in range(ho):
+                for ox in range(wo):
+                    up = g[ni, fi, oy, ox]
+                    db[fi] += up
+                    for ci in range(c):
+                        for ky in range(kh):
+                            for kx in range(kw):
+                                y, xx = oy * stride + ky, ox * stride + kx
+                                dxp[ni, ci, y, xx] += up * w[fi, ci, ky, kx]
+                                dw[fi, ci, ky, kx] += up * xp[ni, ci, y, xx]
+    return dxp[:, :, pad:pad + h, pad:pad + wd], dw, db
+
+
 def maxpool2d_ref(x, window, stride, pad=0):
     n, c, h, w = x.shape
     ho = (h + 2 * pad - window) // stride + 1

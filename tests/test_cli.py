@@ -5,7 +5,7 @@ import pytest
 
 from hccr.cli import main
 from hccr.network_builder import build_net, init_weights
-from hccr.pipeline_data import load_image_dir, load_gnt
+from hccr.pipeline_data import Dataset, Sample, load_image_dir, load_gnt, write_gnt
 from hccr.tensor_core import read_dtns
 from hccr.train_eval import save_model
 
@@ -366,6 +366,18 @@ def test_extract_writes_dtns_and_previews(data_dir, tmp_path, capsys):
     assert np.isfinite(planes).all()
     previews = sorted(out.glob("plane*.pgm"))
     assert len(previews) == 9
+
+
+def test_extract_escapes_tags_that_are_not_file_names(tmp_path):
+    """A GNT tag is any two latin-1 bytes; `/`, NUL and `%` become %XX."""
+    image = np.full((6, 6), 0.5)
+    write_gnt(Dataset([Sample(image, 0), Sample(image, 1), Sample(image, 2)],
+                      ("a/", "b%", "\0c")), tmp_path / "tags.gnt")
+    out = tmp_path / "ex"
+    assert main(["extract", "--gnt", str(tmp_path / "tags.gnt"), "--mode", "original",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.dtns")) == [
+        "00000_a%2F.dtns", "00001_b%25.dtns", "00002_%00c.dtns"]
 
 
 def test_train_log_deterministic_across_runs(data_dir, tmp_path, capsys):

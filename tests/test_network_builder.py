@@ -24,6 +24,7 @@ from hccr.network_builder import (
     count_inception_modules,
     count_layers,
     count_parameters,
+    _forward_logits,
     forward_net,
     grad_check_network,
     infer_shapes,
@@ -35,6 +36,8 @@ from hccr.network_builder import (
     with_dropout_rate,
 )
 from hccr.tensor_core import ShapeError
+
+from naive_ref import conv2d_ref, matmul_ref, maxpool2d_ref
 
 # Hand-summed parameter counts for the frozen reference topologies. Each
 # branch is out*in*k*k + out; totals were accumulated independently of the
@@ -52,6 +55,47 @@ def tiny_spec(rate=0.5):
         GlobalAvgPool(), Dropout(rate), FullyConnected(3), Softmax(),
     )
     return NetworkSpec((1, 8, 8), layers, 3)
+
+
+def dropout_between_convs_spec():
+    """A dropout between two convs, so the layout goes to NCHW and back; as
+    many filters as images, so a misread layout raises no error."""
+    layers = (Conv(2, 3, pad=1), Dropout(), Conv(2, 3, pad=1),
+              GlobalAvgPool(), FullyConnected(3), Softmax())
+    return NetworkSpec((1, 8, 8), layers, 3)
+
+
+def naive_logits(spec, params, x):
+    """NCHW logits of `spec`, dropout off, composed layer by layer from the
+    loop references: an oracle for the batch-last executor."""
+    def conv(h, name, stride=1, pad=0):
+        return conv2d_ref(h, params[f"{name}.w"], params[f"{name}.b"], stride, pad)
+
+    def conv_relu(h, name, pad=0):
+        return np.maximum(conv(h, name, pad=pad), 0)
+
+    h = x
+    for i, layer in enumerate(spec.layers[:-1]):
+        name = f"{i:02d}_{type(layer).__name__.lower()}"
+        if isinstance(layer, Conv):
+            h = conv(h, name, layer.stride, layer.pad)
+        elif isinstance(layer, ReLU):
+            h = np.maximum(h, 0)
+        elif isinstance(layer, MaxPool):
+            h = maxpool2d_ref(h, layer.window, layer.stride, layer.pad)
+        elif isinstance(layer, Inception):
+            h = np.concatenate([
+                conv_relu(h, f"{name}.b1"),
+                conv_relu(conv_relu(h, f"{name}.b3r"), f"{name}.b3", 1),
+                conv_relu(conv_relu(h, f"{name}.b5r"), f"{name}.b5", 2),
+                conv_relu(maxpool2d_ref(h, 3, 1, 1), f"{name}.proj")], axis=1)
+        elif isinstance(layer, GlobalAvgPool):
+            h = h.mean(axis=(2, 3))
+        elif isinstance(layer, FullyConnected):
+            h = matmul_ref(h.reshape(len(h), -1), params[f"{name}.w"], params[f"{name}.b"])
+        else:
+            assert isinstance(layer, Dropout)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -376,25 +420,41 @@ def test_loss_and_grads_covers_every_parameter():
         assert grads[name].shape == params[name].shape
 
 
+@pytest.mark.parametrize("net", ["googlenet-small", "alexnet-small", "tiny",
+                                 "dropout-between-convs"])
+def test_batch_last_forward_equals_an_nchw_composition(net):
+    """Pins both layout transposes and the channel-axis concat in float64."""
+    spec = {"tiny": tiny_spec, "dropout-between-convs": dropout_between_convs_spec}.get(
+        net, lambda: build_net(net, 10, 1))()
+    params = init_weights(spec, seed=5).astype(np.float64)
+    for name in params.keys():      # non-zero biases, so every add shows
+        if name.endswith(".b"):
+            params.tensors[name] = np.random.default_rng(1).normal(
+                0, 0.1, params[name].shape)
+    x = np.random.default_rng(2).random((2, *spec.input_shape))
+    logits = _forward_logits(spec, params, x).value
+    np.testing.assert_allclose(logits, naive_logits(spec, params, x), rtol=0, atol=1e-10)
+
+
 def test_loss_and_grads_computes_no_input_gradient(monkeypatch):
     """The stem conv skips dx of the network input; no gradient changes."""
     spec = build_hccr_googlenet("reference-small", class_count=10)
     params = init_weights(spec, seed=2)
     x = np.random.default_rng(3).random((4, 1, 32, 32), dtype=np.float32)
     labels = np.array([0, 3, 7, 9])
-    backward = tc._conv2d_backward
+    backward = tc._conv_backward
     calls = []
 
     def spy(g, xv, w, stride, pad, need_dx=True):
-        calls.append((xv is x, need_dx))
+        calls.append((w is params["00_conv.w"], need_dx))      # the stem
         return backward(g, xv, w, stride, pad, need_dx)
 
-    monkeypatch.setattr(tc, "_conv2d_backward", spy)
+    monkeypatch.setattr(tc, "_conv_backward", spy)
     loss, _, grads = loss_and_grads(spec, params, x, labels, np.random.default_rng(1))
-    assert [need for is_input, need in calls if is_input] == [False]
-    assert all(need for is_input, need in calls if not is_input)
+    assert [need for is_stem, need in calls if is_stem] == [False]
+    assert all(need for is_stem, need in calls if not is_stem)
     # every conv computing dx, the input's included, gives the same gradients
-    monkeypatch.setattr(tc, "_conv2d_backward",
+    monkeypatch.setattr(tc, "_conv_backward",
                         lambda g, xv, w, stride, pad, need_dx: backward(g, xv, w, stride, pad))
     loss_dx, _, grads_dx = loss_and_grads(spec, params, x, labels,
                                           np.random.default_rng(1))

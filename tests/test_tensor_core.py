@@ -8,11 +8,28 @@ import pytest
 
 from hccr import tensor_core as tc
 
-from naive_ref import conv2d_ref, maxpool2d_backward_ref, maxpool2d_ref, matmul_ref
+from naive_ref import (conv2d_backward_ref, conv2d_ref, maxpool2d_backward_ref,
+                       maxpool2d_ref, matmul_ref)
 
 
 def rnd(shape, rng, dtype=np.float32):
     return rng.standard_normal(shape).astype(dtype)
+
+
+def last(a):
+    """NCHW -> the network's batch-last [C, H, W, N]."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
+
+
+def first(a):
+    """Batch-last [C, H, W, N] -> NCHW."""
+    return a.transpose(3, 0, 1, 2)
+
+
+# every kernel / stride / pad the batch-last kernels must handle, at C=1
+# (the stem and the Gabor bank) and C=3
+WINDOWS = [(k, s, p, c) for k in (1, 3, 5, 7) for s in (1, 2) for p in range(4)
+           for c in (1, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +61,23 @@ def test_conv2d_matches_naive_reference():
     out = tc.conv2d(x, w, b, stride=2, pad=1)
     ref = conv2d_ref(x, w, b, stride=2, pad=1)
     np.testing.assert_allclose(out, ref, atol=1e-5)
+
+
+@pytest.mark.parametrize("kernel,stride,pad,c", WINDOWS)
+def test_batch_last_conv_and_backward_match_loop_references(kernel, stride, pad, c):
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + pad)
+    x = rng.standard_normal((2, c, kernel + 2, kernel + 3))
+    w = rng.standard_normal((3, c, kernel, kernel))
+    b = rng.standard_normal(3)
+    out = tc._conv(last(x), w, b, stride, pad)
+    np.testing.assert_allclose(first(out), conv2d_ref(x, w, b, stride, pad), atol=1e-10)
+    g = rng.standard_normal(out.shape)
+    dx, dw, db = tc._conv_backward(g, last(x), w, stride, pad)
+    ref_dx, ref_dw, ref_db = conv2d_backward_ref(x, w, first(g), stride, pad)
+    np.testing.assert_allclose(first(dx), ref_dx, atol=1e-10)
+    np.testing.assert_allclose(dw, ref_dw, atol=1e-10)
+    np.testing.assert_allclose(db, ref_db, atol=1e-10)
+    assert tc._conv_backward(g, last(x), w, stride, pad, need_dx=False)[0] is None
 
 
 def test_conv2d_rejects_channel_mismatch():
@@ -84,7 +118,7 @@ def test_maxpool_matches_naive_reference():
 def test_maxpool_tie_breaks_first_row_major():
     x = np.zeros((1, 1, 2, 2), dtype=np.float32)
     out, saved = tc.maxpool2d(x, window=2, stride=2)
-    dx = tc.maxpool2d_backward(np.ones_like(out), saved)
+    dx = first(tc._maxpool_backward(last(np.ones_like(out)), saved))
     # top-left wins the all-zero window and takes the whole gradient
     np.testing.assert_array_equal(dx[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
@@ -100,14 +134,14 @@ def test_maxpool_backward_routes_to_argmax_and_conserves_sum():
     x = rnd((2, 2, 6, 6), rng)
     out, saved = tc.maxpool2d(x, window=3, stride=2, pad=1)
     g = rnd(out.shape, rng)
-    dx = tc.maxpool2d_backward(g, saved)
+    dx = first(tc._maxpool_backward(last(g), saved))
     assert dx.shape == x.shape
     assert math.isclose(dx.sum(), g.sum(), rel_tol=1e-5)
     # with a one-hot upstream, exactly one input position receives gradient
     g1 = np.zeros_like(g)
     g1[0, 0, 0, 0] = 1.0
     _, saved2 = tc.maxpool2d(x, window=3, stride=2, pad=1)
-    dx1 = tc.maxpool2d_backward(g1, saved2)
+    dx1 = tc._maxpool_backward(last(g1), saved2)
     assert (dx1 != 0).sum() == 1
 
 
@@ -120,9 +154,23 @@ def test_maxpool_and_backward_equal_loop_references(window, stride, pad, dtype):
     np.testing.assert_array_equal(out, maxpool2d_ref(x, window, stride, pad))
     # non-integer gradients, so a different summation order changes bits
     g = rng.standard_normal(out.shape).astype(dtype)
-    dx = tc.maxpool2d_backward(g, saved)
+    dx = first(tc._maxpool_backward(last(g), saved))
     assert dx.dtype == dtype and dx.shape == x.shape
     np.testing.assert_array_equal(dx, maxpool2d_backward_ref(x, g, window, stride, pad))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window,stride,pad,c", WINDOWS)
+def test_batch_last_maxpool_and_backward_equal_loop_references(window, stride, pad, c, dtype):
+    rng = np.random.default_rng(window * 100 + stride * 10 + pad)
+    x = rng.integers(-2, 3, (2, c, window + 2, window + 3)).astype(dtype)
+    out, saved = tc._maxpool(last(x), window, stride, pad)
+    np.testing.assert_array_equal(first(out), maxpool2d_ref(x, window, stride, pad))
+    g = rng.standard_normal(out.shape).astype(dtype)
+    dx = tc._maxpool_backward(g, saved)
+    assert dx.dtype == dtype
+    np.testing.assert_array_equal(
+        first(dx), maxpool2d_backward_ref(x, first(g), window, stride, pad))
 
 
 # ---------------------------------------------------------------------------
@@ -177,35 +225,56 @@ def test_dropout_rejects_rate_one():
 # concat
 
 def test_concat_single_input_identity():
-    x = np.random.default_rng(0).random((2, 3, 4, 4)).astype(np.float32)
+    x = np.random.default_rng(0).random((3, 4, 4, 2)).astype(np.float32)
     np.testing.assert_array_equal(tc.concat_channels([x]), x)
 
 
 def test_concat_stacks_in_order():
-    a = np.full((1, 2, 3, 3), 1.0, dtype=np.float32)
-    b = np.full((1, 3, 3, 3), 2.0, dtype=np.float32)
+    a = np.full((2, 3, 3, 1), 1.0, dtype=np.float32)
+    b = np.full((3, 3, 3, 1), 2.0, dtype=np.float32)
     out = tc.concat_channels([a, b])
-    assert out.shape == (1, 5, 3, 3)
-    assert np.all(out[:, :2] == 1.0) and np.all(out[:, 2:] == 2.0)
+    assert out.shape == (5, 3, 3, 1)
+    assert np.all(out[:2] == 1.0) and np.all(out[2:] == 2.0)
 
 
 def test_concat_rejects_spatial_mismatch():
-    a = np.zeros((1, 2, 3, 3), dtype=np.float32)
-    b = np.zeros((1, 2, 4, 4), dtype=np.float32)
+    a = np.zeros((2, 3, 3, 1), dtype=np.float32)
+    b = np.zeros((2, 4, 4, 1), dtype=np.float32)
     with pytest.raises(tc.ShapeError, match="4, 4"):
         tc.concat_channels([a, b])
+    with pytest.raises(tc.ShapeError, match="H/W/N"):
+        tc.concat_channels([a, np.zeros((2, 3, 3, 2), dtype=np.float32)])
 
 
 def test_concat_backward_roundtrip():
+    """The taped concat joins batch-last tensors on axis 0 and hands each
+    input a contiguous view of the upstream gradient."""
     rng = np.random.default_rng(5)
     tape = tc.Tape()
-    xs = [tc.Node(rnd((2, c, 4, 4), rng)) for c in (1, 3, 2)]
+    xs = [tc.Node(rnd((c, 4, 4, 2), rng)) for c in (1, 3, 2)]
     out = tc.concat_channels_taped(tape, xs)
+    np.testing.assert_array_equal(out.value, np.concatenate([x.value for x in xs]))
+    g = rnd(out.value.shape, rng)
+    backward = tape._records[-1][3]
+    for _, contrib in backward(g):
+        assert contrib.flags.c_contiguous and np.shares_memory(contrib, g)
+    tape.backward(g)
+    np.testing.assert_array_equal(xs[0].grad, g[:1])
+    np.testing.assert_array_equal(xs[1].grad, g[1:4])
+    np.testing.assert_array_equal(xs[2].grad, g[4:])
+
+
+@pytest.mark.parametrize("axes", [(3, 0, 1, 2), (1, 2, 3, 0)])
+def test_transposed_backward_restores_the_layout(axes):
+    rng = np.random.default_rng(6)
+    tape = tc.Tape()
+    x = tc.Node(rnd((3, 4, 5, 2), rng))
+    out = tc.transposed_taped(tape, x, axes)
+    np.testing.assert_array_equal(out.value, x.value.transpose(axes))
+    assert out.value.flags.c_contiguous
     g = rnd(out.value.shape, rng)
     tape.backward(g)
-    np.testing.assert_array_equal(xs[0].grad, g[:, :1])
-    np.testing.assert_array_equal(xs[1].grad, g[:, 1:4])
-    np.testing.assert_array_equal(xs[2].grad, g[:, 4:])
+    np.testing.assert_array_equal(x.grad.transpose(axes), g)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +442,10 @@ def test_tape_is_freed_without_the_cycle_collector():
     as soon as the tape does."""
     rng = np.random.default_rng(4)
     tape = tc.Tape()
-    x = tc.Node(rnd((2, 3, 6, 6), rng))
+    x = tc.Node(rnd((3, 6, 6, 2), rng))     # batch-last, as the network runs
     h = tc.conv2d_taped(tape, x, tc.Node(rnd((4, 3, 3, 3), rng)), tc.Node(rnd(4, rng)), 1, 1)
-    tc.maxpool2d_taped(tape, tc.relu_taped(tape, h), 3, 2, 1)
+    h = tc.maxpool2d_taped(tape, tc.relu_taped(tape, h), 3, 2, 1)
+    tc.transposed_taped(tape, tc.concat_channels_taped(tape, [h, h]), (3, 0, 1, 2))
     tape.backward(1.0)
     gone = weakref.ref(tape)
     enabled = gc.isenabled()

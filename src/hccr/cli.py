@@ -44,7 +44,6 @@ from .train_eval import (
     model_bytes,
     predict,
     report_keyvalues,
-    report_table,
     save_model,
     top1_percent,
     train,
@@ -141,13 +140,15 @@ def cmd_synth(args):
 
 def cmd_train(args):
     _print_config(args)
+    try:
+        config = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
+                             momentum=args.momentum, seed=args.seed, mode=args.mode)
+    except ValueError as error:
+        raise UsageError(error) from None
     raw = _load_raw(args)
     prepared = preprocess_dataset(raw, PREPROC_PRESETS[args.net])
     train_set, val_set = shuffle_split(prepared, TRAIN_FRACTION, args.seed)
     spec = build_net(args.net, prepared.class_count, MODE_CHANNELS[args.mode])
-    config = TrainConfig(epochs=args.epochs, batch_size=args.batch,
-                         lr=args.lr, momentum=args.momentum, seed=args.seed,
-                         mode=args.mode)
     params, log = train(spec, train_set, config, val_set)
     print(format_training_log(log))
     if log:
@@ -169,7 +170,6 @@ def cmd_eval(args):
     report = evaluate_topk(spec, params, subset, ks, mode=mode,
                            batch_size=args.batch)
     print(report_keyvalues(report))
-    print(report_table(report))
     return 0
 
 

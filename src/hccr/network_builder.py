@@ -33,7 +33,6 @@ class _Layer:
     forward pass and depth."""
     depth = 0           # weighted layers it counts as
     pooling = False     # a standalone pooling layer
-    spatial = True      # runs batch-last [C, H, W, N]; False: NCHW or [N, D]; None: either
 
     def out_shape(self, shape):
         return shape
@@ -84,8 +83,6 @@ class MaxPool(_Layer):
 
 @dataclass(frozen=True)
 class ReLU(_Layer):
-    spatial = None
-
     def forward(self, tape, x, param, rng):
         return tc.relu_taped(tape, x)
 
@@ -93,7 +90,6 @@ class ReLU(_Layer):
 @dataclass(frozen=True)
 class Dropout(_Layer):
     rate: float = 0.5
-    spatial = False
 
     def forward(self, tape, x, param, rng):
         return tc.dropout_taped(tape, x, self.rate, rng)
@@ -170,7 +166,6 @@ class Inception(_Layer):
 @dataclass(frozen=True)
 class GlobalAvgPool(_Layer):
     pooling = True
-    spatial = False
 
     def out_shape(self, shape):
         return _window_shape(shape)[:1]
@@ -183,7 +178,6 @@ class GlobalAvgPool(_Layer):
 class FullyConnected(_Layer):
     out_features: int
     depth = 1
-    spatial = False
 
     def out_shape(self, shape):
         return (self.out_features,)
@@ -433,10 +427,10 @@ def with_dropout_rate(spec, rate):
 def _forward_logits(spec, params, x, tape=None, rng=None):
     """Run every layer before the terminal softmax, recording on `tape` if given.
 
-    Returns the logits node. Spatial layers run batch-last and the others
-    NCHW (dropout masks and fully-connected weights keep NCHW order); a
-    taped transpose switches at each change. The tape gets every parameter,
-    and the input batch as an input that needs no gradient.
+    Returns the logits node, [T, N]. The NCHW input is transposed once, and
+    every tensor after it is batch-last: [C, H, W, N], or [D, N] once flat
+    (see tensor_core). The tape gets every parameter, and the input batch as
+    an input that needs no gradient.
     """
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[1:] != tuple(spec.input_shape):
@@ -451,11 +445,7 @@ def _forward_logits(spec, params, x, tape=None, rng=None):
     if tape is not None:
         tape.params = nodes
         tape.inputs = (cur,)
-    batch_last = True
     for i, layer in enumerate(body):
-        if layer.spatial not in (None, batch_last):
-            batch_last = layer.spatial
-            cur = tc.transposed_taped(tape, cur, (1, 2, 3, 0) if batch_last else (3, 0, 1, 2))
         name = _layer_name(i, layer)
         try:
             cur = layer.forward(tape, cur, lambda tag: nodes[f"{name}.{tag}"], rng)
@@ -469,7 +459,7 @@ def forward_net(spec, params, x, mode="infer"):
     (probabilities, None). "infer" is the only mode; training runs loss_and_grads."""
     if mode != "infer":
         raise ValueError(f"unknown mode {mode!r}")
-    return tc.softmax(_forward_logits(spec, params, x).value), None
+    return tc.softmax(_forward_logits(spec, params, x).value.T), None
 
 
 def loss_and_grads(spec, params, x, labels, rng=None):

@@ -2,12 +2,13 @@
 
 Everything operates on plain numpy arrays. Working precision is float32;
 the same kernels run unchanged on float64 arrays, which is how gradient
-checking gets its extra headroom. The network runs its image tensors
-batch-last, [C, H, W, N] row-major, the layout of im2col-lowered
+checking gets its extra headroom. Every tensor in the network is
+features-first and batch-last: images [C, H, W, N] row-major, flat
+features [D, N], logits [T, N]. That is the layout of im2col-lowered
 convolution: a conv is one GEMM whose product is already the next layer's
-input, and a 1x1 stride-1 conv needs no unfold at all. The public conv2d
-and maxpool2d take NCHW and wrap the same kernels in one transpose each
-way.
+input, and a 1x1 stride-1 conv needs no unfold at all. NCHW exists only at
+the network input and at the public conv2d and maxpool2d, which wrap the
+same kernels in one transpose each way.
 """
 
 import math
@@ -345,7 +346,8 @@ def dropout_taped(tape, x, rate, rng):
     """Train-mode inverted dropout; the identity with no tape or a zero rate.
 
     Zeroes each element with probability `rate` and scales survivors by
-    1/(1-rate) so the expectation is preserved.
+    1/(1-rate) so the expectation is preserved. The mask is drawn in NCHW
+    order, then moved to x's batch-last layout.
     """
     if tape is None or rate == 0:
         return x
@@ -354,13 +356,15 @@ def dropout_taped(tape, x, rate, rng):
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
     dtype = x.value.dtype
-    mask = (rng.random(x.value.shape) >= rate).astype(dtype) / dtype.type(1 - rate)
+    *features, n = x.value.shape
+    mask = (rng.random((n, *features)) >= rate).astype(dtype) / dtype.type(1 - rate)
+    mask = np.moveaxis(mask, 0, -1)
     out = Node(x.value * mask)
 
     def backward(g):
         return [(x, g * mask)]
 
-    return tape.record("dropout", (x,), out, backward)
+    return _record(tape, "dropout", (x,), out, backward)
 
 
 def concat_channels_taped(tape, xs):
@@ -374,36 +378,28 @@ def concat_channels_taped(tape, xs):
     return _record(tape, "concat", tuple(xs), out, backward)
 
 
-def transposed_taped(tape, x, axes):
-    """x with its axes permuted by `axes`, as a contiguous array."""
-    out = Node(np.ascontiguousarray(x.value.transpose(axes)))
-
-    def backward(g):
-        return [(x, g.transpose(np.argsort(axes)))]
-
-    return _record(tape, "transpose", (x,), out, backward)
-
-
 def fully_connected_taped(tape, x, w, b):
-    """fully_connected over x flattened to [N, D]; dx keeps x's shape."""
+    """fully_connected of batch-last x flattened to [D, N]; the output is
+    [T, N] and dx keeps x's shape."""
     shape = x.value.shape
-    flat = x.value.reshape(shape[0], int(np.prod(shape[1:])))
-    out = Node(fully_connected(flat, w.value, b.value))
+    # contiguous [N, D] rows: the GEMM's bits are those of NCHW input rows
+    flat = np.ascontiguousarray(x.value.reshape(-1, shape[-1]).T)
+    out = Node(fully_connected(flat, w.value, b.value).T)
 
     def backward(g):
-        return [(x, (g @ w.value).reshape(shape)), (w, g.T @ flat), (b, g.sum(axis=0))]
+        gn = np.ascontiguousarray(g.T)      # [N, T], as the forward's product
+        return [(x, (gn @ w.value).T.reshape(shape)), (w, gn.T @ flat), (b, gn.sum(axis=0))]
 
     return _record(tape, "fully_connected", (x, w, b), out, backward)
 
 
 def mean_pool_taped(tape, x):
-    """Global average pooling: NCHW -> NC."""
-    n, c, h, w = x.value.shape
-    out = Node(x.value.mean(axis=(2, 3)))
+    """Global average pooling [C, H, W, N] -> [C, N], summed in NCHW order."""
+    h, w = x.value.shape[1:3]
+    out = Node(np.ascontiguousarray(x.value.transpose(0, 3, 1, 2)).mean(axis=(2, 3)))
 
     def backward(g):
-        dx = np.broadcast_to(g[:, :, None, None] / g.dtype.type(h * w), x.value.shape)
-        return [(x, np.ascontiguousarray(dx))]
+        return [(x, np.broadcast_to(g[:, None, None] / g.dtype.type(h * w), x.value.shape))]
 
     return _record(tape, "mean_pool", (x,), out, backward)
 
@@ -411,11 +407,11 @@ def mean_pool_taped(tape, x):
 def softmax_cross_entropy_taped(tape, logits, labels):
     """Mean cross-entropy of softmax(logits) against integer class labels.
 
-    Returns (scalar loss node, probabilities). The backward pass gives the
-    logits the exact gradient (p - onehot)/N.
+    Takes logits [T, N]; returns (scalar loss node, probabilities [N, T]).
+    The backward pass gives the logits the exact gradient (p - onehot)/N.
     """
     labels = np.asarray(labels)
-    p = softmax(logits.value)
+    p = softmax(logits.value.T)
     out = Node(np.asarray(cross_entropy(p, labels), dtype=p.dtype))
     n = p.shape[0]
 
@@ -423,7 +419,7 @@ def softmax_cross_entropy_taped(tape, logits, labels):
         d = p.copy()
         d[np.arange(n), labels] -= 1
         d *= g / p.dtype.type(n)
-        return [(logits, d)]
+        return [(logits, d.T)]
 
     return _record(tape, "softmax_cross_entropy", (logits,), out, backward), p
 
@@ -454,9 +450,9 @@ def grad_check(loss_fn, grads_fn, params, epsilon=1e-5, tolerance=1e-4,
     rng = rng or np.random.default_rng(0)
     analytic = grads_fn(params)
     coords = []
+    total = sum(p.size for p in params.values())
     for name in sorted(params):
         size = params[name].size
-        total = sum(params[k].size for k in params)
         want = max(1, round(min_checks * size / total))
         idx = rng.choice(size, size=min(size, want), replace=False)
         coords.extend((name, int(i)) for i in idx)

@@ -203,16 +203,6 @@ def report_keyvalues(report):
     return "\n".join(lines)
 
 
-def report_table(report):
-    header = " ".join(f"Top{k} (%)" for k in sorted(report.topk))
-    values = " ".join(f"{report.topk[k]:8.2f}" for k in sorted(report.topk))
-    return (f"{header}\n{values}\n"
-            f"samples: {report.sample_count}   "
-            f"mean loss: {report.mean_loss:.4f}\n"
-            f"parameters: {report.parameter_count:,}   "
-            f"size: {report.serialized_bytes / 2 ** 20:.2f} MiB")
-
-
 # ---------------------------------------------------------------------------
 # ensembling
 

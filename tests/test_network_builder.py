@@ -58,8 +58,8 @@ def tiny_spec(rate=0.5):
 
 
 def dropout_between_convs_spec():
-    """A dropout between two convs, so the layout goes to NCHW and back; as
-    many filters as images, so a misread layout raises no error."""
+    """A dropout between two convs, on a batch-last tensor; as many filters
+    as images, so a misread layout raises no error."""
     layers = (Conv(2, 3, pad=1), Dropout(), Conv(2, 3, pad=1),
               GlobalAvgPool(), FullyConnected(3), Softmax())
     return NetworkSpec((1, 8, 8), layers, 3)
@@ -423,7 +423,8 @@ def test_loss_and_grads_covers_every_parameter():
 @pytest.mark.parametrize("net", ["googlenet-small", "alexnet-small", "tiny",
                                  "dropout-between-convs"])
 def test_batch_last_forward_equals_an_nchw_composition(net):
-    """Pins both layout transposes and the channel-axis concat in float64."""
+    """Pins the input transpose, the [D, N] fully-connected and the
+    channel-axis concat in float64."""
     spec = {"tiny": tiny_spec, "dropout-between-convs": dropout_between_convs_spec}.get(
         net, lambda: build_net(net, 10, 1))()
     params = init_weights(spec, seed=5).astype(np.float64)
@@ -432,7 +433,7 @@ def test_batch_last_forward_equals_an_nchw_composition(net):
             params.tensors[name] = np.random.default_rng(1).normal(
                 0, 0.1, params[name].shape)
     x = np.random.default_rng(2).random((2, *spec.input_shape))
-    logits = _forward_logits(spec, params, x).value
+    logits = _forward_logits(spec, params, x).value.T
     np.testing.assert_allclose(logits, naive_logits(spec, params, x), rtol=0, atol=1e-10)
 
 

@@ -215,6 +215,19 @@ def test_dropout_preserves_expectation():
     assert abs(out.value.mean() - 1.0) < 0.01
 
 
+def test_dropout_mask_follows_nchw_draw_order():
+    """A batch-last tensor gets the mask a seed draws for its NCHW layout."""
+    n, c, h, w, rate = 3, 2, 4, 5, 0.3
+    x = tc.Node(np.ones((c, h, w, n), np.float32))
+    tape = tc.Tape()
+    out = tc.dropout_taped(tape, x, rate, np.random.default_rng(7))
+    drawn = np.random.default_rng(7).random((n, c, h, w)) >= rate
+    expected = drawn.astype(np.float32) / np.float32(1 - rate)
+    np.testing.assert_array_equal(out.value.transpose(3, 0, 1, 2), expected)
+    tape.backward(np.ones_like(out.value))
+    np.testing.assert_array_equal(x.grad, out.value)
+
+
 def test_dropout_rejects_rate_one():
     with pytest.raises(ValueError):
         tc.dropout_taped(tc.Tape(), tc.Node(np.ones(3, np.float32)), 1.0,
@@ -264,19 +277,6 @@ def test_concat_backward_roundtrip():
     np.testing.assert_array_equal(xs[2].grad, g[4:])
 
 
-@pytest.mark.parametrize("axes", [(3, 0, 1, 2), (1, 2, 3, 0)])
-def test_transposed_backward_restores_the_layout(axes):
-    rng = np.random.default_rng(6)
-    tape = tc.Tape()
-    x = tc.Node(rnd((3, 4, 5, 2), rng))
-    out = tc.transposed_taped(tape, x, axes)
-    np.testing.assert_array_equal(out.value, x.value.transpose(axes))
-    assert out.value.flags.c_contiguous
-    g = rnd(out.value.shape, rng)
-    tape.backward(g)
-    np.testing.assert_array_equal(x.grad.transpose(axes), g)
-
-
 # ---------------------------------------------------------------------------
 # fully connected / softmax / cross-entropy
 
@@ -304,6 +304,34 @@ def test_fc_rejects_dim_mismatch():
     with pytest.raises(tc.ShapeError):
         tc.fully_connected(np.zeros((1, 3), np.float32), np.zeros((2, 4), np.float32),
                            np.zeros(2, np.float32))
+
+
+def test_fc_taped_on_batch_last_equals_nchw_rows_bit_for_bit():
+    """The taped FC of [C, H, W, N] computes from contiguous NCHW rows:
+    forward, dx, dw and db are those of the [N, D] formulas, bit for bit."""
+    rng = np.random.default_rng(12)
+    x_nchw, w, b = rnd((64, 32, 2, 2), rng), rnd((10, 128), rng), rnd(10, rng)
+    rows, g = x_nchw.reshape(64, -1), rnd((64, 10), rng)
+    tape = tc.Tape()
+    x, wn, bn = tc.Node(x_nchw.transpose(1, 2, 3, 0).copy()), tc.Node(w), tc.Node(b)
+    out = tc.fully_connected_taped(tape, x, wn, bn)
+    np.testing.assert_array_equal(out.value.T, tc.fully_connected(rows, w, b))
+    tape.backward(g.T.copy())
+    np.testing.assert_array_equal(x.grad.transpose(3, 0, 1, 2), (g @ w).reshape(x_nchw.shape))
+    np.testing.assert_array_equal(wn.grad, g.T @ rows)
+    np.testing.assert_array_equal(bn.grad, g.sum(axis=0))
+
+
+def test_mean_pool_taped_on_batch_last_equals_nchw_mean_bit_for_bit():
+    rng = np.random.default_rng(13)
+    x_nchw = rnd((3, 5, 7, 9), rng)
+    tape = tc.Tape()
+    x = tc.Node(x_nchw.transpose(1, 2, 3, 0).copy())
+    out = tc.mean_pool_taped(tape, x)
+    np.testing.assert_array_equal(out.value.T, x_nchw.mean(axis=(2, 3)))
+    g = rnd((5, 3), rng)
+    tape.backward(g)
+    np.testing.assert_array_equal(x.grad, np.broadcast_to(g[:, None, None] / 63, x.value.shape))
 
 
 def test_softmax_uniform():
@@ -355,11 +383,11 @@ def test_cross_entropy_rejects_bad_labels():
 
 def test_softmax_cross_entropy_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
-    logits = rng.standard_normal((3, 6))
+    logits = rng.standard_normal((6, 3))        # [T, N], as the network's
     labels = np.array([2, 0, 5])
 
     def loss_at(z):
-        return tc.cross_entropy(tc.softmax(z), labels)
+        return tc.cross_entropy(tc.softmax(z.T), labels)
 
     tape = tc.Tape()
     node = tc.Node(logits.copy())
@@ -382,14 +410,14 @@ def test_fused_backward_equals_probs_minus_onehot_over_n():
     logits = rng.standard_normal((4, 7))
     labels = np.array([1, 6, 0, 3])
     tape = tc.Tape()
-    node = tc.Node(logits)
+    node = tc.Node(logits.T)                    # [T, N]
     _, probs = tc.softmax_cross_entropy_taped(tape, node, labels)
     tape.backward()
     expected = tc.softmax(logits)
     np.testing.assert_array_equal(probs, expected)
     expected[np.arange(4), labels] -= 1
     expected /= 4
-    np.testing.assert_allclose(node.grad, expected, atol=1e-12)
+    np.testing.assert_allclose(node.grad, expected.T, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +473,8 @@ def test_tape_is_freed_without_the_cycle_collector():
     x = tc.Node(rnd((3, 6, 6, 2), rng))     # batch-last, as the network runs
     h = tc.conv2d_taped(tape, x, tc.Node(rnd((4, 3, 3, 3), rng)), tc.Node(rnd(4, rng)), 1, 1)
     h = tc.maxpool2d_taped(tape, tc.relu_taped(tape, h), 3, 2, 1)
-    tc.transposed_taped(tape, tc.concat_channels_taped(tape, [h, h]), (3, 0, 1, 2))
+    h = tc.dropout_taped(tape, tc.concat_channels_taped(tape, [h, h]), 0.5, rng)
+    tc.fully_connected_taped(tape, h, tc.Node(rnd((3, 72), rng)), tc.Node(rnd(3, rng)))
     tape.backward(1.0)
     gone = weakref.ref(tape)
     enabled = gc.isenabled()
@@ -469,7 +498,7 @@ def test_tape_rejects_second_replay():
 
 def test_unused_parameter_gets_zero_gradient():
     tape = tc.Tape()
-    x = tc.Node(np.array([[1.0, 2.0]], dtype=np.float32))
+    x = tc.Node(np.array([[1.0], [2.0]], dtype=np.float32))      # [D, N]
     used = tc.Node(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32))
     unused = tc.Node(np.array([[5.0, 5.0]], dtype=np.float32))
     tape.params = {"used.w": used, "unused.w": unused}
@@ -496,7 +525,7 @@ def test_grad_check_two_layer_net_64bit():
         nodes = {k: tc.Node(v) for k, v in p.items()}
         t.params = nodes
         h = tc.relu_taped(t, tc.fully_connected_taped(
-            t, tc.Node(x), nodes["fc1.w"], nodes["fc1.b"]))
+            t, tc.Node(x.T), nodes["fc1.w"], nodes["fc1.b"]))
         logits = tc.fully_connected_taped(t, h, nodes["fc2.w"], nodes["fc2.b"])
         loss, _ = tc.softmax_cross_entropy_taped(t, logits, labels)
         return float(loss.value), t
@@ -528,8 +557,8 @@ def test_grad_check_linear_net_is_nearly_exact():
         tape = tc.Tape()
         nodes = {k: tc.Node(v) for k, v in p.items()}
         tape.params = nodes
-        tc.fully_connected_taped(tape, tc.Node(x), nodes["fc.w"], nodes["fc.b"])
-        tape.backward(g_up)
+        tc.fully_connected_taped(tape, tc.Node(x.T), nodes["fc.w"], nodes["fc.b"])
+        tape.backward(g_up.T)
         return tape.param_grads()
 
     report = tc.grad_check(loss_fn, grads_fn, params, epsilon=1e-5, tolerance=1e-7)

@@ -36,7 +36,6 @@ from hccr.train_eval import (
     rank_classes,
     relative_error_reduction,
     report_keyvalues,
-    report_table,
     save_model,
     train,
 )
@@ -229,8 +228,6 @@ def test_report_renderers():
     assert "mean_loss=0.750000" in text
     assert "parameters=1234" in text
     assert "serialized_bytes=5000" in text
-    table = report_table(report)
-    assert "Top1" in table and "1,234" in table
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def _at_least(kind, minimum):
     `kind`, so malformed text reads "invalid int value"."""
     def parse(text):
         value = kind(text)
-        if value < minimum:
+        if not value >= minimum:      # NaN compares False both ways
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
     parse.__name__ = kind.__name__
@@ -166,9 +166,7 @@ def cmd_eval(args):
     spec, params = load_model(args.model[0])
     mode = _model_mode(spec, args.mode)
     subset, = _eval_subsets(args, [spec])
-    ks = [k for k in (1, 2, 5, 10) if k <= spec.class_count]
-    report = evaluate_topk(spec, params, subset, ks, mode=mode,
-                           batch_size=args.batch)
+    report = evaluate_topk(spec, params, subset, mode=mode, batch_size=args.batch)
     print(report_keyvalues(report))
     return 0
 

@@ -1,10 +1,11 @@
 """Network assembly: layer descriptors, reference topologies, parameters.
 
 A NetworkSpec is an immutable ordered list of layer descriptors validated
-at build time by shape inference. Parameters live in a ParamStore keyed by
-layer path, created by init_weights and walked in a fixed canonical order
-(which is also the serialization order). The reference networks are named
-in REFERENCE_NETS; a saved model stores that name, not its layers.
+at build time by shape inference. Parameters are one dict keyed by layer
+path, in a fixed canonical order (also the serialization order):
+init_weights makes a ParamStore, and any plain dict works in its place.
+The reference networks are named in REFERENCE_NETS; a saved model stores
+that name, not its layers.
 """
 
 import math
@@ -252,27 +253,21 @@ def parameter_entries(spec):
     return entries
 
 
-class ParamStore:
-    """Named parameter tensors plus per-tensor optimizer velocity."""
+class ParamStore(dict):
+    """Parameter tensors keyed by layer path; `tensors` is the store itself."""
 
-    def __init__(self, tensors):
-        self.tensors = tensors
-        self.velocity = {}
-
-    def __getitem__(self, name):
-        return self.tensors[name]
-
-    def keys(self):
-        return self.tensors.keys()
+    @property
+    def tensors(self):
+        return self
 
     def total_count(self):
-        return sum(t.size for t in self.tensors.values())
+        return sum(t.size for t in self.values())
 
     def astype(self, dtype):
-        return ParamStore({k: v.astype(dtype) for k, v in self.tensors.items()})
+        return ParamStore({k: v.astype(dtype) for k, v in self.items()})
 
     def copy(self):
-        return ParamStore({k: v.copy() for k, v in self.tensors.items()})
+        return ParamStore({k: v.copy() for k, v in self.items()})
 
 
 def init_weights(spec, seed):
@@ -439,8 +434,7 @@ def _forward_logits(spec, params, x, tape=None, rng=None):
     *body, head = spec.layers
     if not isinstance(head, Softmax):
         raise ShapeError("spec must end with a softmax")
-    tensors = params.tensors if isinstance(params, ParamStore) else params
-    nodes = {k: Node(v) for k, v in tensors.items()}
+    nodes = {k: Node(v) for k, v in params.items()}
     cur = Node(np.ascontiguousarray(x.transpose(1, 2, 3, 0)))
     if tape is not None:
         tape.params = nodes
@@ -475,8 +469,7 @@ def grad_check_network(spec, params, x, labels, epsilon=1e-5, tolerance=1e-4,
                        min_checks=100, rng=None):
     """Finite-difference audit of the whole network in float64, dropout off."""
     spec64 = with_dropout_rate(spec, 0.0)
-    tensors = params.tensors if isinstance(params, ParamStore) else params
-    p64 = {k: v.astype(np.float64) for k, v in tensors.items()}
+    p64 = {k: v.astype(np.float64) for k, v in params.items()}
     x64 = np.asarray(x, dtype=np.float64)
 
     def loss_fn(p):

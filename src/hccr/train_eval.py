@@ -14,7 +14,6 @@ little-endian; the loader rebuilds the topology from the name.
 
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,7 +55,7 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr < 0:
+        if not self.lr >= 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
@@ -134,6 +133,7 @@ def train(spec, train_set, config, val_set=None):
         val_x, val_labels = _stacked_inputs(val_set, config.mode)
     log = []
     checkpoint = params.copy()
+    velocity = {}
     lr = config.lr
     for epoch in range(config.epochs):
         order = rng.permutation(len(labels))
@@ -146,8 +146,7 @@ def train(spec, train_set, config, val_set=None):
                 log.append(TrainLogEntry(epoch, float("nan"), float("nan")))
                 return checkpoint, log
             if lr > 0:
-                tc.sgd_step(params.tensors, grads, lr, config.momentum,
-                            params.velocity)
+                tc.sgd_step(params, grads, lr, config.momentum, velocity)
             loss_sum += loss * len(batch)
         train_loss = loss_sum / len(labels)
         val_top1 = float("nan") if val_set is None else top1_percent(
@@ -177,14 +176,10 @@ def rank_classes(probs):
 
 def evaluate_topk(spec, params, dataset, ks=(1, 2, 5, 10), mode="original",
                   batch_size=128):
-    """Top-k accuracies, mean loss, and size accounting on a dataset."""
-    ks = tuple(sorted(set(int(k) for k in ks)))
-    for k in ks:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if k > spec.class_count:
-            warnings.warn(f"top-{k} requested with only {spec.class_count} "
-                          f"classes; reporting 100%")
+    """Top-k accuracies for each k up to the class count, mean loss and sizes."""
+    if min(ks, default=1) < 1:
+        raise ValueError(f"k must be >= 1, got {min(ks)}")
+    ks = sorted({int(k) for k in ks if k <= spec.class_count})
     x, labels = _stacked_inputs(dataset, mode)
     probs = predict(spec, params, x, batch_size)
     at_label = rank_classes(probs) == labels[:, None]    # where each label ranks
@@ -239,12 +234,11 @@ def relative_error_reduction(baseline_acc, new_acc):
 
 def save_model(spec, params, path):
     """Write the HCRM container of a reference network; returns the byte count."""
-    tensors = params.tensors if isinstance(params, ParamStore) else params
     out = bytearray(MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, spec.class_count,
                                       spec.input_shape[0],
                                       reference_net(spec).encode("ascii")))
     for name, shape, _ in parameter_entries(spec):
-        tensor = tensors[name]
+        tensor = params[name]
         if tuple(tensor.shape) != shape:
             raise ValueError(f"parameter {name} has shape {tensor.shape}, "
                              f"spec wants {shape}")

@@ -71,12 +71,21 @@ def test_bad_flag_value_exits_2():
     ("--lr", "fast", "argument --lr: invalid float value: 'fast'"),
     ("--batch", "0", "argument --batch: must be >= 1, got 0"),
     ("--momentum", "-0.5", "argument --momentum: must be >= 0, got -0.5"),
+    ("--lr", "nan", "argument --lr: must be >= 0, got nan"),
 ])
 def test_bad_number_names_the_flag_and_type(flag, value, message, capsys):
     with pytest.raises(SystemExit) as info:
         main(["train", "--net", "googlenet-small", "--gnt", "x", flag, value])
     assert info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_nan_noise_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["synth", "--classes", "3", "--per-class", "5", "--gnt", "x",
+              "--noise", "nan"])
+    assert info.value.code == 2
+    assert "argument --noise: must be >= 0, got nan" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():

@@ -126,10 +126,10 @@ def test_inception_branch_order_and_concat():
                         GlobalAvgPool(), FullyConnected(9), Softmax()), 9)
     params = init_weights(spec, seed=0)
     for name in params.keys():
-        params.tensors[name] = np.zeros_like(params[name])
+        params[name] = np.zeros_like(params[name])
     for tag, bias in (("b1", 1.0), ("b3", 2.0), ("b5", 3.0), ("proj", 4.0)):
-        params.tensors[f"00_inception.{tag}.b"][:] = bias
-    params.tensors["02_fullyconnected.w"] = np.eye(9, dtype=np.float32)
+        params[f"00_inception.{tag}.b"][:] = bias
+    params["02_fullyconnected.w"] = np.eye(9, dtype=np.float32)
     x = np.random.default_rng(0).random((1, 3, 6, 6), dtype=np.float32)
     probs, _ = forward_net(spec, params, x, mode="infer")
     expected = np.repeat([1.0, 2.0, 3.0, 4.0], [2, 3, 2, 2])
@@ -352,9 +352,11 @@ def test_init_weights_deterministic_per_seed():
 def test_param_store_astype_and_copy():
     params = init_weights(tiny_spec(), seed=1)
     p64 = params.astype(np.float64)
-    assert all(v.dtype == np.float64 for v in p64.tensors.values())
+    assert isinstance(p64, ParamStore) and isinstance(p64, dict)
+    assert p64.tensors is p64
+    assert all(v.dtype == np.float64 for v in p64.values())
     dup = params.copy()
-    dup.tensors["00_conv.b"][:] = 5.0
+    dup["00_conv.b"][:] = 5.0
     assert not np.array_equal(dup["00_conv.b"], params["00_conv.b"])
 
 
@@ -408,6 +410,28 @@ def test_forward_rejects_unknown_mode():
             forward_net(spec, params, np.zeros((1, 1, 8, 8), dtype=np.float32), mode=mode)
 
 
+def test_init_weights_store_is_taken_as_any_parameter_dict():
+    """sgd_step and grad_check take the store itself; forward_net gives the
+    same bits on the store and on a plain dict copy of it."""
+    spec = NetworkSpec((2, 2, 2), (FullyConnected(3), Softmax()), 3)
+    params = init_weights(spec, seed=4).astype(np.float64)
+    x = np.random.default_rng(0).random((4, 2, 2, 2))
+    labels = np.array([0, 1, 2, 0])
+    probs, _ = forward_net(spec, params, x)
+    np.testing.assert_array_equal(forward_net(spec, dict(params), x)[0], probs)
+    report = tc.grad_check(
+        lambda p: tc.cross_entropy(forward_net(spec, p, x)[0], labels),
+        lambda p: loss_and_grads(spec, p, x, labels)[2], params)
+    assert report.passed and report.checked == params.total_count()
+    grads = loss_and_grads(spec, params, x, labels)[2]
+    before = params["00_fullyconnected.w"].copy()
+    velocity = {}
+    tc.sgd_step(params, grads, 0.1, 0.9, velocity)
+    np.testing.assert_array_equal(params["00_fullyconnected.w"],
+                                  before - 0.1 * grads["00_fullyconnected.w"])
+    assert set(velocity) == set(params)
+
+
 def test_loss_and_grads_covers_every_parameter():
     spec = with_dropout_rate(tiny_spec(), 0.0)
     params = init_weights(spec, seed=4)
@@ -430,7 +454,7 @@ def test_batch_last_forward_equals_an_nchw_composition(net):
     params = init_weights(spec, seed=5).astype(np.float64)
     for name in params.keys():      # non-zero biases, so every add shows
         if name.endswith(".b"):
-            params.tensors[name] = np.random.default_rng(1).normal(
+            params[name] = np.random.default_rng(1).normal(
                 0, 0.1, params[name].shape)
     x = np.random.default_rng(2).random((2, *spec.input_shape))
     logits = _forward_logits(spec, params, x).value.T
@@ -484,7 +508,7 @@ def test_gradient_audit_every_layer_kind():
     jitter = np.random.default_rng(42)
     for name in params.keys():
         if name.endswith(".b"):
-            params.tensors[name] = (params[name] +
+            params[name] = (params[name] +
                                     jitter.normal(0, 0.05, params[name].shape)
                                     ).astype(params[name].dtype)
     x = np.random.default_rng(2).random((2, 1, 8, 8))
@@ -503,13 +527,12 @@ def test_short_training_run_decreases_loss():
     labels = rng.integers(0, 10, size=16)
     decreased = False
     for lr in (0.1, 0.01, 0.001):
-        trial = params.copy()
+        trial, velocity = params.copy(), {}
         losses = []
         for _ in range(20):
             loss, _, grads = loss_and_grads(spec, trial, x, labels)
             losses.append(loss)
-            tc.sgd_step(trial.tensors, grads, lr=lr, momentum=0.9,
-                        velocity=trial.velocity)
+            tc.sgd_step(trial, grads, lr=lr, momentum=0.9, velocity=velocity)
         if losses[-1] < losses[0] and min(losses[1:]) < losses[0]:
             decreased = True
             break

@@ -426,7 +426,7 @@ def test_fused_backward_equals_probs_minus_onehot_over_n():
 def test_sgd_plain_step():
     p = {"w": np.array([1.0], dtype=np.float32)}
     g = {"w": np.array([0.5], dtype=np.float32)}
-    tc.sgd_step(p, g, lr=0.1, momentum=0.0)
+    tc.sgd_step(p, g, lr=0.1, momentum=0.0, velocity={})
     np.testing.assert_allclose(p["w"], [0.95])
 
 
@@ -451,7 +451,8 @@ def test_sgd_converges_on_quadratic_bowl():
 
 def test_sgd_rejects_nonpositive_lr():
     with pytest.raises(ValueError):
-        tc.sgd_step({"w": np.ones(1, np.float32)}, {"w": np.ones(1, np.float32)}, lr=0.0)
+        tc.sgd_step({"w": np.ones(1, np.float32)}, {"w": np.ones(1, np.float32)},
+                    lr=0.0, momentum=0.0, velocity={})
 
 
 # ---------------------------------------------------------------------------

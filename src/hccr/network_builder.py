@@ -422,9 +422,9 @@ def with_dropout_rate(spec, rate):
 def _forward_logits(spec, params, x, tape=None, rng=None):
     """Run every layer before the terminal softmax, recording on `tape` if given.
 
-    Returns the logits node, [T, N]. The NCHW input is transposed once, and
-    every tensor after it is batch-last: [C, H, W, N], or [D, N] once flat
-    (see tensor_core). The tape gets every parameter, and the input batch as
+    Returns (logits node [T, N], parameter nodes by name). The NCHW input is
+    transposed once, and every tensor after it is batch-last: [C, H, W, N],
+    or [D, N] once flat (see tensor_core). The tape gets the input batch as
     an input that needs no gradient.
     """
     x = np.asarray(x)
@@ -437,7 +437,6 @@ def _forward_logits(spec, params, x, tape=None, rng=None):
     nodes = {k: Node(v) for k, v in params.items()}
     cur = Node(np.ascontiguousarray(x.transpose(1, 2, 3, 0)))
     if tape is not None:
-        tape.params = nodes
         tape.inputs = (cur,)
     for i, layer in enumerate(body):
         name = _layer_name(i, layer)
@@ -445,7 +444,7 @@ def _forward_logits(spec, params, x, tape=None, rng=None):
             cur = layer.forward(tape, cur, lambda tag: nodes[f"{name}.{tag}"], rng)
         except (ShapeError, ValueError) as err:
             raise type(err)(f"layer {i} ({type(layer).__name__.lower()}): {err}") from None
-    return cur
+    return cur, nodes
 
 
 def forward_net(spec, params, x, mode="infer"):
@@ -453,16 +452,16 @@ def forward_net(spec, params, x, mode="infer"):
     (probabilities, None). "infer" is the only mode; training runs loss_and_grads."""
     if mode != "infer":
         raise ValueError(f"unknown mode {mode!r}")
-    return tc.softmax(_forward_logits(spec, params, x).value.T), None
+    return tc.softmax(_forward_logits(spec, params, x)[0].value.T), None
 
 
 def loss_and_grads(spec, params, x, labels, rng=None):
     """One taped forward/backward pass: (loss, probabilities, gradient dict)."""
     tape = Tape()
-    logits = _forward_logits(spec, params, x, tape, rng)
+    logits, nodes = _forward_logits(spec, params, x, tape, rng)
     loss, probs = tc.softmax_cross_entropy_taped(tape, logits, labels)
     tape.backward()
-    return float(loss.value), probs, tape.param_grads()
+    return float(loss.value), probs, {k: n.grad for k, n in nodes.items()}
 
 
 def grad_check_network(spec, params, x, labels, epsilon=1e-5, tolerance=1e-4,

@@ -260,31 +260,25 @@ class Tape:
     """
 
     def __init__(self):
-        self._records = []      # (op name, inputs, output node, backward fn)
+        self._records = []      # (output node, backward fn)
         self._consumed = False
-        self.params = {}        # name -> Node, registered by the network runner
         self.inputs = ()        # leaves whose gradient nobody reads; ops may skip it
-        self.output = None      # terminal node of the forward pass
 
     def record(self, name, inputs, output, backward):
-        self._records.append((name, inputs, output, backward))
-        self.output = output
+        # name and inputs go unused here; perfbench's tracer wraps record and reads them
+        self._records.append((output, backward))
         return output
 
-    def backward(self, seed=1.0):
-        """Seed the terminal node and propagate gradients in reverse order."""
+    def backward(self):
+        """Seed the last recorded output with ones; propagate in reverse order."""
         if self._consumed:
             raise RuntimeError("tape already replayed; run a new forward pass first")
         if not self._records:
             raise RuntimeError("tape is empty; nothing was recorded")
         self._consumed = True
-        out = self.output
-        seed = np.asarray(seed, dtype=out.value.dtype)
-        if seed.shape not in ((), out.value.shape):
-            raise ShapeError(f"seed gradient shape {seed.shape} does not match "
-                             f"output shape {out.value.shape}")
-        out.grad = np.broadcast_to(seed, out.value.shape).astype(out.value.dtype)
-        for name, inputs, output, backward in reversed(self._records):
+        out = self._records[-1][0]
+        out.grad = np.ones_like(out.value)
+        for output, backward in reversed(self._records):
             g = output.grad
             if g is None:
                 continue
@@ -293,16 +287,6 @@ class Tape:
                     node.grad = contrib.copy()
                 else:
                     node.grad += contrib
-
-    def param_grads(self):
-        """Gradient per registered parameter; zeros for parameters off the loss path."""
-        out = {}
-        for name, node in self.params.items():
-            if node.grad is None:
-                out[name] = np.zeros_like(node.value)
-            else:
-                out[name] = node.grad
-        return out
 
 
 def _record(tape, name, inputs, output, backward):

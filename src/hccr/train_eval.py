@@ -38,6 +38,7 @@ MODEL_MAGIC = b"HCRM"
 MODEL_VERSION = 2
 MODEL_HEADER = struct.Struct("<4s3I16s")    # magic, version, classes, channels, net
 LR_DECAY = 0.95         # per-epoch learning-rate multiplier
+TOPK = (1, 2, 5, 10)    # k of each reported top-k accuracy, up to the class count
 
 
 @dataclass(frozen=True)
@@ -174,17 +175,14 @@ def rank_classes(probs):
     return np.argsort(-probs, axis=1, kind="stable")
 
 
-def evaluate_topk(spec, params, dataset, ks=(1, 2, 5, 10), mode="original",
-                  batch_size=128):
-    """Top-k accuracies for each k up to the class count, mean loss and sizes."""
-    if min(ks, default=1) < 1:
-        raise ValueError(f"k must be >= 1, got {min(ks)}")
-    ks = sorted({int(k) for k in ks if k <= spec.class_count})
+def evaluate_topk(spec, params, dataset, mode="original", batch_size=128):
+    """Top-k accuracies for each k of TOPK up to the class count, mean loss and sizes."""
     x, labels = _stacked_inputs(dataset, mode)
     probs = predict(spec, params, x, batch_size)
     at_label = rank_classes(probs) == labels[:, None]    # where each label ranks
     n = len(labels)
-    topk = {k: 100.0 * int(at_label[:, :k].sum()) / n for k in ks}
+    topk = {k: 100.0 * int(at_label[:, :k].sum()) / n
+            for k in TOPK if k <= spec.class_count}
     return EvalReport(topk, tc.cross_entropy(probs, labels), n,
                       count_parameters(spec), model_bytes(spec))
 

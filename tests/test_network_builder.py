@@ -65,6 +65,15 @@ def dropout_between_convs_spec():
     return NetworkSpec((1, 8, 8), layers, 3)
 
 
+def spec_by_name(net, class_count):
+    """A test network by name, or a one-channel reference network."""
+    if net == "tiny":
+        return tiny_spec()
+    if net == "dropout-between-convs":
+        return dropout_between_convs_spec()
+    return build_net(net, class_count, 1)
+
+
 def naive_logits(spec, params, x):
     """NCHW logits of `spec`, dropout off, composed layer by layer from the
     loop references: an oracle for the batch-last executor."""
@@ -432,16 +441,23 @@ def test_init_weights_store_is_taken_as_any_parameter_dict():
     assert set(velocity) == set(params)
 
 
-def test_loss_and_grads_covers_every_parameter():
-    spec = with_dropout_rate(tiny_spec(), 0.0)
+@pytest.mark.parametrize("net", ["tiny", "dropout-between-convs", "googlenet-small",
+                                 "alexnet-small"])
+def test_loss_and_grads_covers_every_parameter(net):
+    """Every layer feeds the next and inception concatenates all its
+    branches, so each parameter is on the loss path and gets a gradient."""
+    spec = spec_by_name(net, 3)
     params = init_weights(spec, seed=4)
-    x = np.random.default_rng(0).random((4, 1, 8, 8), dtype=np.float32)
+    rng = np.random.default_rng(0)
+    x = rng.random((4, *spec.input_shape), dtype=np.float32)
     labels = np.array([0, 1, 2, 0])
-    loss, probs, grads = loss_and_grads(spec, params, x, labels)
+    loss, probs, grads = loss_and_grads(spec, params, x, labels, rng)
     assert loss > 0
     assert set(grads.keys()) == set(params.keys())
-    for name in params.keys():
-        assert grads[name].shape == params[name].shape
+    for name, value in params.items():
+        g = grads[name]
+        assert isinstance(g, np.ndarray) and g.dtype == np.float32, name
+        assert g.shape == value.shape and np.all(np.isfinite(g)), name
 
 
 @pytest.mark.parametrize("net", ["googlenet-small", "alexnet-small", "tiny",
@@ -449,15 +465,14 @@ def test_loss_and_grads_covers_every_parameter():
 def test_batch_last_forward_equals_an_nchw_composition(net):
     """Pins the input transpose, the [D, N] fully-connected and the
     channel-axis concat in float64."""
-    spec = {"tiny": tiny_spec, "dropout-between-convs": dropout_between_convs_spec}.get(
-        net, lambda: build_net(net, 10, 1))()
+    spec = spec_by_name(net, 10)
     params = init_weights(spec, seed=5).astype(np.float64)
     for name in params.keys():      # non-zero biases, so every add shows
         if name.endswith(".b"):
             params[name] = np.random.default_rng(1).normal(
                 0, 0.1, params[name].shape)
     x = np.random.default_rng(2).random((2, *spec.input_shape))
-    logits = _forward_logits(spec, params, x).value.T
+    logits = _forward_logits(spec, params, x)[0].value.T
     np.testing.assert_allclose(logits, naive_logits(spec, params, x), rtol=0, atol=1e-10)
 
 

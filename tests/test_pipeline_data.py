@@ -361,6 +361,12 @@ def test_synth_repertoire_bounds():
     assert len(set(ds.class_names)) == 100
 
 
+@pytest.mark.parametrize("noise", [float("nan"), -0.5])
+def test_synth_rejects_nan_or_negative_noise(noise):
+    with pytest.raises(ValueError, match="noise"):
+        synth_glyphs(2, 1, noise)
+
+
 def test_synth_centroid_classifier_beats_sixty_percent():
     # The task must be learnable from raw pixels but not degenerate: a
     # nearest-centroid baseline lands well above chance.

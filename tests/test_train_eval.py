@@ -197,24 +197,17 @@ def test_topk_monotone_and_capped_at_class_count(glyph_splits):
     _, val_set = glyph_splits
     spec = mini_spec()          # 3 classes: top-5 and top-10 would read 100%
     params = init_weights(spec, 0)
-    report = evaluate_topk(spec, params, val_set, ks=(1, 2, 5, 10))
+    report = evaluate_topk(spec, params, val_set)
     assert list(report.topk) == [1, 2]
     assert report.topk[1] <= report.topk[2]
     assert report.mean_loss > 0
     assert report.sample_count == len(val_set.samples)
 
 
-def test_topk_rejects_nonpositive_k(glyph_splits):
-    _, val_set = glyph_splits
-    spec = mini_spec()
-    with pytest.raises(ValueError, match="k must be"):
-        evaluate_topk(spec, init_weights(spec, 0), val_set, ks=(0,))
-
-
 def test_eval_report_sizes_match_size_report(glyph_splits):
     _, val_set = glyph_splits
     spec = mini_spec()
-    report = evaluate_topk(spec, init_weights(spec, 0), val_set, ks=(1,))
+    report = evaluate_topk(spec, init_weights(spec, 0), val_set)
     assert report.parameter_count == count_parameters(spec)
     assert report.serialized_bytes == model_bytes(spec)
 

@@ -84,18 +84,17 @@ def gabor_bank(spec=None):
 
 def _same_conv(image, kernels):
     """Cross-correlate each image [..., H, W] with kernels [F, k, k] on an
-    edge-replicated border: [..., F, H, W]."""
+    edge-replicated border, one GEMM over all windows: [F, ..., H, W]."""
     images = np.asarray(image, dtype=tc.FLOAT)
     if images.ndim < 2:
         raise tc.ShapeError(f"expected grayscale images [..., H, W], got {images.shape}")
     if not np.isfinite(images).all():
         raise ValueError("image values must be finite")
-    lead, (h, w) = images.shape[:-2], images.shape[-2:]
     r = kernels.shape[-1] // 2
-    padded = np.pad(images.reshape(-1, 1, h, w), ((0, 0), (0, 0), (r, r), (r, r)),
-                    mode="edge")
-    bias = np.zeros(len(kernels), dtype=tc.FLOAT)
-    return tc.conv2d(padded, kernels[:, None], bias).reshape(lead + (-1, h, w))
+    padded = np.pad(images, [(0, 0)] * (images.ndim - 2) + [(r, r)] * 2, mode="edge")
+    windows = sliding_window_view(padded, kernels.shape[1:], axis=(-2, -1))
+    cols = np.moveaxis(windows, (-2, -1), (0, 1)).reshape(kernels[0].size, -1)
+    return (kernels.reshape(len(kernels), -1) @ cols).reshape((-1,) + images.shape)
 
 
 def gabor_responses(image, spec=None):
@@ -110,7 +109,7 @@ def gabor_responses(image, spec=None):
     if min(np.shape(image)[-2:], default=0) < k:
         raise tc.ShapeError(f"image {np.shape(image)} is smaller than the "
                             f"{k}x{k} kernel")
-    return _same_conv(image, gabor_bank(spec))
+    return np.ascontiguousarray(np.moveaxis(_same_conv(image, gabor_bank(spec)), 0, -3))
 
 
 def gabor_maps(image, spec=None):
@@ -138,8 +137,7 @@ CHAINCODE_DIRECTIONS = np.array(
 
 def sobel_gradients(image):
     """(gx, gy) with replicated borders; gx grows rightward, gy downward."""
-    g = _same_conv(image, _SOBEL)
-    return g[..., 0, :, :], g[..., 1, :, :]
+    return tuple(_same_conv(image, _SOBEL))
 
 
 def _vote(count, index, low, high):

@@ -149,11 +149,12 @@ def load_gnt(path):
     """Read GNT records: u32 size, 2-byte tag, u16 width, u16 height, pixels.
 
     All integers little-endian; size must equal 10 + width*height. Gray
-    bytes are kept as stored, scaled to [0,1].
+    bytes are kept as stored, scaled to [0,1]. Samples keep record order;
+    labels index the sorted tags, as load_image_dir's index its sorted
+    folders, so the same classes get the same labels in any record order.
     """
     data = Path(path).read_bytes()
-    samples = []
-    names = {}                  # tag -> label, in order of first appearance
+    images, tags = [], []
     offset = 0
     while offset < len(data):
         if offset + 10 > len(data):
@@ -172,10 +173,12 @@ def load_gnt(path):
         pixels = np.frombuffer(data, dtype=np.uint8, count=width * height,
                                offset=offset + 10)
         image = (pixels.reshape(height, width) / np.float32(255.0)).astype(tc.FLOAT)
-        label = names.setdefault(tag.decode("latin-1"), len(names))
-        samples.append(Sample(image, label))
+        images.append(image)
+        tags.append(tag.decode("latin-1"))
         offset += size
-    return Dataset(samples, tuple(names))
+    names = sorted(set(tags))
+    index = {name: i for i, name in enumerate(names)}
+    return Dataset([Sample(im, index[t]) for im, t in zip(images, tags)], tuple(names))
 
 
 def write_gnt(dataset, path):

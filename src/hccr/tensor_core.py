@@ -8,7 +8,8 @@ features [D, N], logits [T, N]. That is the layout of im2col-lowered
 convolution: a conv is one GEMM whose product is already the next layer's
 input, and a 1x1 stride-1 conv needs no unfold at all. NCHW exists only at
 the network input and at the public conv2d and maxpool2d, which wrap the
-same kernels in one transpose each way.
+same kernels in one transpose each way and serve only the acceptance
+oracles.
 """
 
 import math

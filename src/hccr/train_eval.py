@@ -272,6 +272,8 @@ def load_model(path):
     for name, shape, _ in parameter_entries(spec):
         count = int(np.prod(shape))
         flat = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(flat).all():
+            raise ValueError(f"{path}: parameter {name} holds non-finite values")
         tensors[name] = flat.reshape(shape).astype(tc.FLOAT)
         offset += 4 * count
     return spec, ParamStore(tensors)

@@ -192,6 +192,15 @@ def test_unloadable_model_headers_exit_1(sub, model_path, data_dir, tmp_path,
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["eval", "ensemble", "inspect"])
+def test_non_finite_weight_exits_1(sub, data_dir, tmp_path, capsys):
+    path = seeded_model(tmp_path / "inf.hcrm")
+    path.write_bytes(path.read_bytes()[:-4] + np.float32(np.inf).tobytes())
+    argv = [sub, "--model", str(path)] + ([] if sub == "inspect" else ["--data", str(data_dir)])
+    assert main(argv) == 1
+    assert "18_fullyconnected.b holds non-finite values" in capsys.readouterr().err
+
+
 def test_train_on_an_empty_gnt_image_exits_1(gnt_path, tmp_path, capsys):
     bad = tmp_path / "empty-image.gnt"
     bad.write_bytes(gnt_path.read_bytes() + (10).to_bytes(4, "little") + b"AA" +

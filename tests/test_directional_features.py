@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from naive_ref import conv2d_ref
+
 from hccr import directional_features
 from hccr.directional_features import (
     CHAINCODE_DIRECTIONS,
@@ -248,6 +250,42 @@ def test_hog_upsample_is_nearest_per_cell():
 def test_extractors_reject_non_finite_pixels(extract):
     with pytest.raises(ValueError, match="finite"):
         extract(np.full((32, 32), np.nan))
+
+
+# ---------------------------------------------------------------------------
+# correlation against the loop oracle
+
+def edge_correlation_ref(images, kernels):
+    """conv2d_ref of each edge-padded image with kernels [F, k, k], zero
+    bias, in float64: [..., F, H, W]."""
+    r = kernels.shape[-1] // 2
+    flat = images.reshape((-1, 1) + images.shape[-2:])
+    padded = np.pad(flat, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
+    out = conv2d_ref(padded, kernels[:, None], np.zeros(len(kernels)))
+    return out.reshape(images.shape[:-2] + out.shape[1:])
+
+
+ORACLE_SHAPES = [(13, 17), (2, 3, 13, 17)]
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+def test_gabor_responses_match_loop_oracle(shape):
+    images = np.random.default_rng(21).random(shape, dtype=np.float32)
+    got = gabor_responses(images)
+    assert got.shape == shape[:-2] + (8,) + shape[-2:]
+    np.testing.assert_allclose(got, edge_correlation_ref(images, gabor_bank()),
+                               rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+def test_sobel_gradients_match_loop_oracle(shape):
+    images = np.random.default_rng(22).random(shape, dtype=np.float32)
+    sobel = np.array([[[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]],
+                      [[-1, -2, -1], [0, 0, 0], [1, 2, 1]]], dtype=np.float32)
+    want = edge_correlation_ref(images, sobel)
+    gx, gy = sobel_gradients(images)
+    np.testing.assert_allclose(gx, want[..., 0, :, :], rtol=0, atol=1e-5)
+    np.testing.assert_allclose(gy, want[..., 1, :, :], rtol=0, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -221,14 +221,30 @@ def test_load_gnt_truncated_body(tmp_path):
         load_gnt(path)
 
 
-def test_load_gnt_new_classes_in_encounter_order(tmp_path):
+def test_load_gnt_labels_index_sorted_tags(tmp_path):
     path = tmp_path / "multi.gnt"
     path.write_bytes(gnt_record(b"ZZ", 1, 1, b"\x00") +
                      gnt_record(b"AA", 1, 1, b"\xff") +
                      gnt_record(b"ZZ", 1, 1, b"\x80"))
     ds = load_gnt(path)
-    assert ds.class_names == ("ZZ", "AA")
-    assert [s.label for s in ds.samples] == [0, 1, 0]
+    assert ds.class_names == ("AA", "ZZ")
+    assert [s.label for s in ds.samples] == [1, 0, 1]
+    assert [s.image[0, 0] for s in ds.samples] == [0.0, 1.0, np.float32(128 / 255)]
+    again = tmp_path / "again.gnt"
+    write_gnt(ds, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_gnt_reversed_records_same_labels(tmp_path):
+    ds = synth_glyphs(5, 3, 0.2, seed=4)
+    forward, backward = tmp_path / "f.gnt", tmp_path / "b.gnt"
+    write_gnt(ds, forward)
+    write_gnt(Dataset(ds.samples[::-1], ds.class_names), backward)
+    a, b = load_gnt(forward), load_gnt(backward)
+    assert a.class_names == b.class_names == ds.class_names
+    for x, y in zip(a.samples, b.samples[::-1]):
+        np.testing.assert_array_equal(x.image, y.image)
+        assert x.label == y.label
 
 
 def test_gnt_round_trip_byte_exact(tmp_path):

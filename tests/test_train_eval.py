@@ -15,6 +15,7 @@ from hccr.network_builder import (
     build_hccr_googlenet,
     count_parameters,
     init_weights,
+    parameter_entries,
 )
 from hccr.pipeline_data import (
     PREPROC_PRESETS,
@@ -336,6 +337,11 @@ def test_load_rejects_corruption(tmp_path):
         ("0 classes", good[:8] + zero + good[12:]),
         ("0 input channels", good[:12] + zero + good[16:]),
     ]
+    # the last float32 is the final bias; a NaN weight anywhere else too
+    last = parameter_entries(spec)[-1][0]
+    inf, nan = np.float32(np.inf).tobytes(), np.float32(np.nan).tobytes()
+    cases += [(f"parameter {last} holds non-finite", good[:-4] + inf),
+              ("holds non-finite", good[:200] + nan + good[204:])]
     for match, data in cases:
         bad = tmp_path / "bad.hcrm"
         bad.write_bytes(data)

@@ -12,11 +12,7 @@ import sys
 from pathlib import Path
 
 from . import tensor_core as tc
-from .directional_features import (
-    MODE_CHANNELS,
-    stack_batch,
-    stack_input,
-)
+from .directional_features import MODE_CHANNELS, stack_batch
 from .network_builder import (
     REFERENCE_NETS,
     build_net,
@@ -176,14 +172,18 @@ def cmd_extract(args):
     raw = _load_raw(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    names = ["".join(f"%{ord(ch):02X}" if ch in "/\0%" else ch for ch in tag)
+             for tag in raw.class_names]        # each one path component
+    groups = {}     # stack_batch takes one image shape; 1024-sample windows bound its memory
     for index, sample in enumerate(raw.samples):
-        stack = stack_input(sample.image, args.mode)
-        name = "".join(f"%{ord(ch):02X}" if ch in "/\0%" else ch
-                       for ch in raw.class_names[sample.label])     # one path component
-        tc.write_dtns(out / f"{index:05d}_{name}.dtns", stack.planes)
-        if index == 0:
-            for j, plane in enumerate(stack.planes):
-                write_pgm(out / f"plane{j:02d}.pgm", plane)
+        groups.setdefault((sample.image.shape, index // 1024), []).append(index)
+    for indices in groups.values():
+        stacks = stack_batch([raw.samples[i].image for i in indices], args.mode)
+        for index, planes in zip(indices, stacks):
+            tc.write_dtns(out / f"{index:05d}_{names[raw.samples[index].label]}.dtns", planes)
+            if index == 0:
+                for j, plane in enumerate(planes):
+                    write_pgm(out / f"plane{j:02d}.pgm", plane)
     print(f"wrote {len(raw.samples)} tensors ({MODE_CHANNELS[args.mode]} planes "
           f"each) under {out}")
     return 0

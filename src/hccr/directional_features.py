@@ -84,17 +84,24 @@ def gabor_bank(spec=None):
 
 def _same_conv(image, kernels):
     """Cross-correlate each image [..., H, W] with kernels [F, k, k] on an
-    edge-replicated border, one GEMM over all windows: [F, ..., H, W]."""
+    edge-replicated border, in runs of images blocked as tc._conv: [F, ..., H, W]."""
     images = np.asarray(image, dtype=tc.FLOAT)
     if images.ndim < 2:
         raise tc.ShapeError(f"expected grayscale images [..., H, W], got {images.shape}")
     if not np.isfinite(images).all():
         raise ValueError("image values must be finite")
     r = kernels.shape[-1] // 2
-    padded = np.pad(images, [(0, 0)] * (images.ndim - 2) + [(r, r)] * 2, mode="edge")
+    h, w = images.shape[-2:]
+    padded = np.pad(images.reshape(-1, h, w), [(0, 0), (r, r), (r, r)], mode="edge")
     windows = sliding_window_view(padded, kernels.shape[1:], axis=(-2, -1))
-    cols = np.moveaxis(windows, (-2, -1), (0, 1)).reshape(kernels[0].size, -1)
-    return (kernels.reshape(len(kernels), -1) @ cols).reshape((-1,) + images.shape)
+    km = kernels.reshape(len(kernels), -1)
+    out = np.empty((len(km), len(padded), h * w), tc.FLOAT)
+    tile = 8 // math.gcd(h * w, 8)          # images per whole 8-column tile
+    step = max(tile, tc._COLS_BYTES // (km.shape[1] * h * w * out.itemsize) // tile * tile)
+    for i in range(0, len(padded), step):
+        cols = np.moveaxis(windows[i:i + step], (-2, -1), (0, 1)).reshape(km.shape[1], -1)
+        np.matmul(km, cols, out=out[:, i:i + step].reshape(len(km), -1))
+    return out.reshape((len(km),) + images.shape)
 
 
 def gabor_responses(image, spec=None):
@@ -265,8 +272,8 @@ MODE_CHANNELS = {
 }
 
 
-# Pixels per extractor call, 64 images of 32x32: float64 intermediates stay
-# a few MB and the Gabor unfold 32 MB (at 128 images, 0.49 against 0.38 ms).
+# Pixels per extractor call, 64 images of 32x32: it bounds the extractors'
+# float64 intermediates to a few MB; _same_conv bounds its own unfold.
 _CHUNK_PIXELS = 64 * 32 * 32
 
 

@@ -6,10 +6,10 @@ checking gets its extra headroom. Every tensor in the network is
 features-first and batch-last: images [C, H, W, N] row-major, flat
 features [D, N], logits [T, N]. That is the layout of im2col-lowered
 convolution: a conv is one GEMM whose product is already the next layer's
-input, and a 1x1 stride-1 conv needs no unfold at all. NCHW exists only at
-the network input and at the public conv2d and maxpool2d, which wrap the
-same kernels in one transpose each way and serve only the acceptance
-oracles.
+input, and a 1x1 stride-1 conv needs no unfold at all. An unfold above
+_COLS_BYTES runs as one GEMM per block of output rows, same bits. NCHW exists
+only at the network input and in the public conv2d and maxpool2d, which
+transpose around the same kernels and serve only the acceptance oracles.
 """
 
 import math
@@ -21,6 +21,7 @@ import numpy as np
 FLOAT = np.float32
 
 DTNS_MAGIC = b"DTNS"
+_COLS_BYTES = 8 << 20       # most bytes of one im2col block (see _conv)
 
 
 class ShapeError(ValueError):
@@ -54,22 +55,25 @@ def _padded(x, pad, fill=0):
                   constant_values=fill) if pad else x
 
 
-def _unfold(x, kh, kw, stride, pad, ho, wo):
-    """cols[C*kh*kw, Ho*Wo*N] of x[C, H, W, N], one slice copy per kernel
-    cell; a 1x1 stride-1 unpadded conv reads x as it is."""
-    c, n = x.shape[0], x.shape[3]
-    if kh * kw == stride == 1 and not pad:
-        return x.reshape(c, -1)
-    xp = _padded(x, pad)
-    cols = np.empty((c, kh * kw, ho, wo, n), dtype=x.dtype)
-    for k, s in enumerate(_cells(kh, kw, stride, ho, wo)):
-        cols[:, k] = xp[s]
-    return cols.reshape(c * kh * kw, ho * wo * n)
+def _unfold(xp, kh, kw, stride, r0, r1, wo, buf=None):
+    """cols[C*kh*kw, (r1-r0)*Wo*N] of output rows r0:r1 of a padded xp[C, H, W, N],
+    one slice copy per kernel cell, into `buf` if given; a 1x1 stride-1 conv reads xp."""
+    c, n = xp.shape[0], xp.shape[3]
+    band = xp[:, stride * r0:stride * (r1 - 1) + kh]
+    if kh * kw == stride == 1:
+        return band.reshape(c, -1)
+    shape = (c, kh * kw, r1 - r0, wo, n)
+    cols = np.empty(shape, xp.dtype) if buf is None else buf[:math.prod(shape)].reshape(shape)
+    for k, s in enumerate(_cells(kh, kw, stride, r1 - r0, wo)):
+        cols[:, k] = band[s]
+    return cols.reshape(c * kh * kw, -1)
 
 
 def _conv(x, w, b, stride=1, pad=0):
     """conv2d of batch-last x[C, H, W, N]: the GEMM w[F, C*kh*kw] @ cols
-    is already the output [F, Ho, Wo, N]."""
+    is already the output [F, Ho, Wo, N], one GEMM per block of output rows
+    whose unfold fits _COLS_BYTES in one reused buffer. Blocks end on whole
+    8-column tiles, as OpenBLAS rounds a narrower tail tile its own way."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and weights, got {x.shape} and {w.shape}")
     c, h, wd, n = x.shape
@@ -80,9 +84,17 @@ def _conv(x, w, b, stride=1, pad=0):
         raise ShapeError(f"bias shape {b.shape} does not match {f} filters")
     ho = conv_output_extent(h, kh, stride, pad)
     wo = conv_output_extent(wd, kw, stride, pad)
-    out = w.reshape(f, -1) @ _unfold(x, kh, kw, stride, pad, ho, wo)
-    out += b[:, None]
-    return out.reshape(f, ho, wo, n)
+    wm, xp = w.reshape(f, -1), _padded(x, pad)
+    tile = 8 // math.gcd(wo * n, 8)         # output rows per whole 8-column tile
+    step = ho if kh * kw == stride == 1 else max(
+        tile, _COLS_BYTES // (wm.shape[1] * wo * n * x.itemsize) // tile * tile)
+    buf = np.empty(wm.shape[1] * wo * n * step, x.dtype) if step < ho else None
+    out = np.empty((f, ho, wo, n), np.result_type(wm, x))
+    for r0 in range(0, ho, step):
+        cols = _unfold(xp, kh, kw, stride, r0, min(r0 + step, ho), wo, buf)
+        np.matmul(wm, cols, out=out[:, r0:r0 + step].reshape(f, -1))
+    out += b[:, None, None, None]
+    return out
 
 
 def _conv_backward(g, x, w, stride, pad, need_dx=True):
@@ -93,7 +105,7 @@ def _conv_backward(g, x, w, stride, pad, need_dx=True):
     f, _, kh, kw = w.shape
     ho, wo = g.shape[1], g.shape[2]
     gm = g.reshape(f, -1)
-    dw = (gm @ _unfold(x, kh, kw, stride, pad, ho, wo).T).reshape(w.shape)
+    dw = (gm @ _unfold(_padded(x, pad), kh, kw, stride, 0, ho, wo).T).reshape(w.shape)
     db = gm.sum(axis=1)
     if not need_dx:
         return None, dw, db

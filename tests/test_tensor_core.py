@@ -80,6 +80,26 @@ def test_batch_last_conv_and_backward_match_loop_references(kernel, stride, pad,
     assert tc._conv_backward(g, last(x), w, stride, pad, need_dx=False)[0] is None
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_in_row_blocks_equals_one_gemm(monkeypatch, dtype):
+    # stride 2, pad 1: 9 output rows of 7 x 4 columns; 5 rows fit the budget,
+    # rounded down to 4 so each block ends on a whole 8-column tile
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((3, 17, 13, 4)).astype(dtype)
+    w = rng.standard_normal((5, 3, 3, 3)).astype(dtype)
+    b = rng.standard_normal(5).astype(dtype)
+    whole = tc._conv(x, w, b, stride=2, pad=1)
+    rows, unfold = [], tc._unfold
+    monkeypatch.setattr(tc, "_unfold", lambda *a: rows.append(a[4:6]) or unfold(*a))
+    monkeypatch.setattr(tc, "_COLS_BYTES", 5 * 27 * 7 * 4 * x.itemsize)
+    blocked = tc._conv(x, w, b, stride=2, pad=1)
+    assert rows == [(0, 4), (4, 8), (8, 9)]
+    assert blocked.dtype == dtype
+    np.testing.assert_array_equal(blocked, whole)
+    np.testing.assert_allclose(first(blocked), conv2d_ref(first(x), w, b, 2, 1),
+                               rtol=0, atol=1e-4)
+
+
 def test_conv2d_rejects_channel_mismatch():
     rng = np.random.default_rng(0)
     with pytest.raises(tc.ShapeError):

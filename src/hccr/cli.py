@@ -205,12 +205,11 @@ def cmd_ensemble(args):
     member_probs = []
     for i, ((spec, params), mode, subset) in enumerate(
             zip(loaded, modes, subsets)):
-        images = [s.image for s in subset.samples]
-        probs = predict(spec, params, stack_batch(images, mode), args.batch)
+        probs = predict(spec, params, [s.image for s in subset.samples], mode, args.batch)
         member_probs.append(probs)
         print(f"member{i} top1={top1_percent(probs, labels):.2f} mode={mode} "
               f"({args.model[i]})")
-    # the mean ensemble_predict(members) takes, with each member run once
+    # ensemble_predict's mean; not called, as each member reads its own preset's images
     probs = sum(member_probs) / len(member_probs)
     print(f"ensemble top1={top1_percent(probs, labels):.2f} "
           f"members={len(loaded)}")
@@ -251,7 +250,7 @@ def _add_scoring_flags(sub):
     sub.add_argument("--seed", type=_at_least(int, 0), default=0,
                      help="split seed; match the training run to reuse its split")
     sub.add_argument("--batch", type=_at_least(int, 1), default=128,
-                     help="evaluation batch size")
+                     help="evaluation batch size and most images stacked at once")
 
 
 def build_parser():

@@ -98,9 +98,10 @@ def _same_conv(image, kernels):
     out = np.empty((len(km), len(padded), h * w), tc.FLOAT)
     tile = 8 // math.gcd(h * w, 8)          # images per whole 8-column tile
     step = max(tile, tc._COLS_BYTES // (km.shape[1] * h * w * out.itemsize) // tile * tile)
-    for i in range(0, len(padded), step):
-        cols = np.moveaxis(windows[i:i + step], (-2, -1), (0, 1)).reshape(km.shape[1], -1)
-        np.matmul(km, cols, out=out[:, i:i + step].reshape(len(km), -1))
+    edges = [*range(0, max(len(padded) - step, 0) + 1, step), len(padded)]  # as tc._conv
+    for i, j in zip(edges, edges[1:]):
+        cols = np.moveaxis(windows[i:j], (-2, -1), (0, 1)).reshape(km.shape[1], -1)
+        np.matmul(km, cols, out=out[:, i:j].reshape(len(km), -1))
     return out.reshape((len(km),) + images.shape)
 
 

@@ -7,9 +7,10 @@ features-first and batch-last: images [C, H, W, N] row-major, flat
 features [D, N], logits [T, N]. That is the layout of im2col-lowered
 convolution: a conv is one GEMM whose product is already the next layer's
 input, and a 1x1 stride-1 conv needs no unfold at all. An unfold above
-_COLS_BYTES runs as one GEMM per block of output rows, same bits. NCHW exists
-only at the network input and in the public conv2d and maxpool2d, which
-transpose around the same kernels and serve only the acceptance oracles.
+_COLS_BYTES runs as one GEMM per block of output rows, equal to one GEMM
+within rounding (see _conv). NCHW exists only at the network input and in
+the public conv2d and maxpool2d, which transpose around the same kernels
+and serve only the acceptance oracles.
 """
 
 import math
@@ -72,8 +73,10 @@ def _unfold(xp, kh, kw, stride, r0, r1, wo, buf=None):
 def _conv(x, w, b, stride=1, pad=0):
     """conv2d of batch-last x[C, H, W, N]: the GEMM w[F, C*kh*kw] @ cols
     is already the output [F, Ho, Wo, N], one GEMM per block of output rows
-    whose unfold fits _COLS_BYTES in one reused buffer. Blocks end on whole
-    8-column tiles, as OpenBLAS rounds a narrower tail tile its own way."""
+    whose unfold fits _COLS_BYTES, unfolded into one reused buffer; a shorter
+    tail joins the last block. Blocks end on whole 8-column tiles. OpenBLAS
+    picks its kernel by matrix size, so a block may round unlike one GEMM:
+    within (K + 2) eps |w| |x|, and bit for bit on the benchmark's shapes."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and weights, got {x.shape} and {w.shape}")
     c, h, wd, n = x.shape
@@ -88,11 +91,12 @@ def _conv(x, w, b, stride=1, pad=0):
     tile = 8 // math.gcd(wo * n, 8)         # output rows per whole 8-column tile
     step = ho if kh * kw == stride == 1 else max(
         tile, _COLS_BYTES // (wm.shape[1] * wo * n * x.itemsize) // tile * tile)
-    buf = np.empty(wm.shape[1] * wo * n * step, x.dtype) if step < ho else None
+    edges = [*range(0, max(ho - step, 0) + 1, step), ho]
+    buf = np.empty(wm.shape[1] * wo * n * (ho - edges[-2]), x.dtype) if len(edges) > 2 else None
     out = np.empty((f, ho, wo, n), np.result_type(wm, x))
-    for r0 in range(0, ho, step):
-        cols = _unfold(xp, kh, kw, stride, r0, min(r0 + step, ho), wo, buf)
-        np.matmul(wm, cols, out=out[:, r0:r0 + step].reshape(f, -1))
+    for r0, r1 in zip(edges, edges[1:]):
+        cols = _unfold(xp, kh, kw, stride, r0, r1, wo, buf)
+        np.matmul(wm, cols, out=out[:, r0:r1].reshape(f, -1))
     out += b[:, None, None, None]
     return out
 

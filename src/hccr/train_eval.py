@@ -2,9 +2,9 @@
 
 Training is plain minibatch SGD with momentum and a per-epoch multiplicative
 learning-rate decay, fully deterministic for a given seed, one taped
-loss_and_grads pass per step. Validation, evaluation and ensembling score
-through predict on the inference-only forward_net, ranking classes by
-probability with ties resolved toward the lower class index.
+loss_and_grads pass per step; its splits are stacked once. Evaluation and
+ensembling stack each batch just before its inference-only forward_net pass
+(predict) and rank classes by probability, ties toward the lower index.
 Models persist to a small binary container, HCRM v2: a 32-byte header
 (magic "HCRM", then u32 version, class count and input channels, then the
 reference network's name NUL-padded to 16 bytes), followed by the raw
@@ -79,19 +79,17 @@ def format_training_log(log):
                      for e in log)
 
 
-def _stacked_inputs(dataset, mode):
-    images = [s.image for s in dataset.samples]
-    return stack_batch(images, mode), dataset.labels()
-
-
 def _batch_ranges(n, batch_size):
     return [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
 
-def predict(spec, params, x, batch_size):
-    """Infer-mode probabilities [N, T] of stacked input x, batch by batch."""
-    parts = [forward_net(spec, params, x[lo:hi])[0]
-             for lo, hi in _batch_ranges(len(x), batch_size)]
+def predict(spec, params, images, mode, batch_size):
+    """Infer-mode probabilities [N, T] of preprocessed images [N, H, W], each batch
+    stacked in `mode` just before its forward pass: at most batch_size at once."""
+    if len(images) == 0:
+        raise ValueError("no images to score")
+    parts = [forward_net(spec, params, stack_batch(images[lo:hi], mode))[0]
+             for lo, hi in _batch_ranges(len(images), batch_size)]
     return np.concatenate(parts, axis=0)
 
 
@@ -126,12 +124,13 @@ def train(spec, train_set, config, val_set=None):
     run_spec = with_dropout_rate(spec, config.dropout)
     params = init_weights(run_spec, config.seed)
     rng = np.random.default_rng([config.seed, 1])
-    x, labels = _stacked_inputs(train_set, config.mode)
+    x = stack_batch([s.image for s in train_set.samples], config.mode)
+    labels = train_set.labels()
     if x.shape[1:] != tuple(run_spec.input_shape):
         raise tc.ShapeError(f"stacked input {x.shape[1:]} does not match "
                             f"network input {tuple(run_spec.input_shape)}")
-    if val_set is not None:
-        val_x, val_labels = _stacked_inputs(val_set, config.mode)
+    if val_set is not None:     # stacked once; every epoch scores the same planes
+        val_x = stack_batch([s.image for s in val_set.samples], config.mode)
     log = []
     checkpoint = params.copy()
     velocity = {}
@@ -150,8 +149,9 @@ def train(spec, train_set, config, val_set=None):
                 tc.sgd_step(params, grads, lr, config.momentum, velocity)
             loss_sum += loss * len(batch)
         train_loss = loss_sum / len(labels)
-        val_top1 = float("nan") if val_set is None else top1_percent(
-            predict(run_spec, params, val_x, config.batch_size), val_labels)
+        val_top1 = float("nan") if val_set is None else top1_percent(np.concatenate(
+            [forward_net(run_spec, params, val_x[lo:hi])[0]
+             for lo, hi in _batch_ranges(len(val_x), config.batch_size)]), val_set.labels())
         log.append(TrainLogEntry(epoch, train_loss, val_top1))
         checkpoint = params.copy()
         lr *= LR_DECAY
@@ -177,8 +177,8 @@ def rank_classes(probs):
 
 def evaluate_topk(spec, params, dataset, mode="original", batch_size=128):
     """Top-k accuracies for each k of TOPK up to the class count, mean loss and sizes."""
-    x, labels = _stacked_inputs(dataset, mode)
-    probs = predict(spec, params, x, batch_size)
+    labels = dataset.labels()
+    probs = predict(spec, params, [s.image for s in dataset.samples], mode, batch_size)
     at_label = rank_classes(probs) == labels[:, None]    # where each label ranks
     n = len(labels)
     topk = {k: 100.0 * int(at_label[:, :k].sum()) / n
@@ -210,7 +210,7 @@ def ensemble_predict(members, images, batch_size=128):
         raise ValueError("ensemble needs at least one member")
     check_class_counts([spec for spec, _, _ in members])
     images = list(images)
-    total = sum(predict(spec, params, stack_batch(images, mode), batch_size)
+    total = sum(predict(spec, params, images, mode, batch_size)
                 for spec, params, mode in members)
     return total / len(members)
 

@@ -290,15 +290,16 @@ def test_sobel_gradients_match_loop_oracle(shape):
 
 @pytest.mark.parametrize("extract,k", [(gabor_responses, 11), (sobel_gradients, 3)])
 def test_correlation_in_image_runs_equals_one_gemm(monkeypatch, extract, k):
-    images = np.random.default_rng(23).random((5, 3, 13, 17), dtype=np.float32)
+    images = np.random.default_rng(23).random((6, 3, 13, 17), dtype=np.float32)
     whole = np.asarray(extract(images))
     runs, matmul = [], np.matmul
     monkeypatch.setattr(np, "matmul", lambda a, b, **kw:
                         runs.append(b.shape[1] // (13 * 17)) or matmul(a, b, **kw))
-    # 12 images fit, rounded down to 8 so each run ends on a whole 8-column tile
+    # 12 images fit, rounded down to 8 so each run ends on a whole 8-column
+    # tile; the short tail of 2 joins the last run
     monkeypatch.setattr(directional_features.tc, "_COLS_BYTES", 12 * k * k * 13 * 17 * 4)
     blocked = np.asarray(extract(images))
-    assert runs == [8, 7]
+    assert runs == [8, 10]
     np.testing.assert_array_equal(blocked, whole)
 
 

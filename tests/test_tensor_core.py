@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hccr import tensor_core as tc
 
@@ -82,10 +83,11 @@ def test_batch_last_conv_and_backward_match_loop_references(kernel, stride, pad,
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_in_row_blocks_equals_one_gemm(monkeypatch, dtype):
-    # stride 2, pad 1: 9 output rows of 7 x 4 columns; 5 rows fit the budget,
-    # rounded down to 4 so each block ends on a whole 8-column tile
+    # stride 2, pad 1: 13 output rows of 7 x 4 columns; 5 rows fit the budget,
+    # rounded down to 4 so each block ends on a whole 8-column tile, and the
+    # 1-row tail joins the last block
     rng = np.random.default_rng(31)
-    x = rng.standard_normal((3, 17, 13, 4)).astype(dtype)
+    x = rng.standard_normal((3, 25, 13, 4)).astype(dtype)
     w = rng.standard_normal((5, 3, 3, 3)).astype(dtype)
     b = rng.standard_normal(5).astype(dtype)
     whole = tc._conv(x, w, b, stride=2, pad=1)
@@ -93,11 +95,54 @@ def test_conv_in_row_blocks_equals_one_gemm(monkeypatch, dtype):
     monkeypatch.setattr(tc, "_unfold", lambda *a: rows.append(a[4:6]) or unfold(*a))
     monkeypatch.setattr(tc, "_COLS_BYTES", 5 * 27 * 7 * 4 * x.itemsize)
     blocked = tc._conv(x, w, b, stride=2, pad=1)
-    assert rows == [(0, 4), (4, 8), (8, 9)]
+    assert rows == [(0, 4), (4, 8), (8, 13)]
     assert blocked.dtype == dtype
     np.testing.assert_array_equal(blocked, whole)
     np.testing.assert_allclose(first(blocked), conv2d_ref(first(x), w, b, 2, 1),
                                rtol=0, atol=1e-4)
+
+
+@st.composite
+def _blocked_convs(draw):
+    """A conv of 16-41 output rows and a budget of at most half of them, so at
+    least two blocks (unless it is 1x1 stride 1, which never unfolds)."""
+    c, f = draw(st.integers(1, 9)), draw(st.integers(1, 8))
+    kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    ho = draw(st.integers(16, 41))
+    h = (ho - 1) * stride + kh - 2 * pad + draw(st.integers(0, stride - 1))
+    wd = draw(st.integers(max(1, kw - 2 * pad), 41))
+    wo = tc.conv_output_extent(wd, kw, stride, pad)
+    n = draw(st.integers(1, max(1, min(48, 2_000_000 // (c * kh * kw * ho * wo)))))
+    rows = draw(st.integers(1, ho // 2))        # unfolded rows the budget holds
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return (c, f, kh, kw, stride, pad, h, wd, n, dtype,
+            rows * c * kh * kw * wo * n * np.dtype(dtype).itemsize)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_blocked_convs())
+@example((9, 5, 3, 3, 1, 1, 41, 41, 47, np.float32, 8 << 20))   # 8-row steps, a 1-row tail
+def test_blocked_conv_matches_one_gemm_on_random_shapes(conv):
+    # OpenBLAS picks its kernel by matrix size, so a block's GEMM may round
+    # its length-K dot products in another order than one whole GEMM: the
+    # claim is agreement within that rounding, |error| <= (K + 2) eps |w| |x|
+    c, f, kh, kw, stride, pad, h, wd, n, dtype, budget = conv
+    rng = np.random.default_rng([c, f, kh, kw, stride, pad, h, wd, n])
+    x = rng.standard_normal((c, h, wd, n)).astype(dtype)
+    w = rng.standard_normal((f, c, kh, kw)).astype(dtype)
+    b = rng.standard_normal(f).astype(dtype)
+    blocks, unfold = [], tc._unfold
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tc, "_COLS_BYTES", 1 << 62)
+        whole = tc._conv(x, w, b, stride, pad)
+        scale = tc._conv(np.abs(x), np.abs(w), np.abs(b), stride, pad)
+        patch.setattr(tc, "_COLS_BYTES", budget)
+        patch.setattr(tc, "_unfold", lambda *a: blocks.append(a[4:6]) or unfold(*a))
+        blocked = tc._conv(x, w, b, stride, pad)
+    assert len(blocks) > 1 or kh * kw == stride == 1
+    bound = (c * kh * kw + 2) * np.finfo(dtype).eps * scale
+    assert (np.abs(blocked - whole) <= bound).all()
 
 
 def test_conv2d_rejects_channel_mismatch():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from hccr import tensor_core as tc
+from hccr import train_eval
 from hccr.network_builder import (
     Conv,
     FullyConnected,
@@ -34,6 +36,7 @@ from hccr.train_eval import (
     format_training_log,
     load_model,
     model_bytes,
+    predict,
     rank_classes,
     relative_error_reduction,
     report_keyvalues,
@@ -250,6 +253,38 @@ def test_ensemble_averages_mixed_modes(glyph_splits):
                             (spec_b, params_b, "gabor-only")], images)
     assert np.allclose(got, (probs_a + probs_b) / 2, atol=1e-7)
     assert np.allclose(got.sum(axis=1), 1.0, atol=1e-5)
+
+
+def test_inference_stacks_each_batch_just_before_its_pass(glyph_splits, monkeypatch):
+    _, val_set = glyph_splits                   # 18 images: batches of 7, 7 and 4
+    images = [s.image for s in val_set.samples]
+    spec_a, spec_b = mini_spec(channels=1), mini_spec(channels=8)
+    members = [(spec_a, init_weights(spec_a, 0), "original"),
+               (spec_b, init_weights(spec_b, 1), "gabor-only")]
+    stacked = []
+    monkeypatch.setattr(train_eval, "stack_batch", lambda batch, mode:
+                        stacked.append(len(batch)) or stack_batch(batch, mode))
+    report = evaluate_topk(spec_a, members[0][1], val_set, "original", batch_size=7)
+    got = ensemble_predict(members, images, batch_size=7)
+    assert stacked == [7, 7, 4] * 3
+
+    def whole_stack_in_slices(spec, params, mode):
+        x = stack_batch(images, mode)
+        return np.concatenate([forward_net(spec, params, x[lo:lo + 7])[0]
+                               for lo in range(0, len(x), 7)])
+
+    probs_a, probs_b = (whole_stack_in_slices(*m) for m in members)
+    assert report.mean_loss == tc.cross_entropy(probs_a, val_set.labels())
+    assert np.array_equal(got, (probs_a + probs_b) / 2)
+
+
+def test_predict_refuses_zero_images():
+    spec = mini_spec()
+    params = init_weights(spec, 0)
+    with pytest.raises(ValueError, match="no images to score"):
+        predict(spec, params, [], "original", 7)
+    with pytest.raises(ValueError, match="no images to score"):
+        ensemble_predict([(spec, params, "original")], [])
 
 
 def test_ensemble_rejects_class_mismatch(glyph_splits):

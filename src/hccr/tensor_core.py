@@ -8,9 +8,11 @@ features [D, N], logits [T, N]. That is the layout of im2col-lowered
 convolution: a conv is one GEMM whose product is already the next layer's
 input, and a 1x1 stride-1 conv needs no unfold at all. An unfold above
 _COLS_BYTES runs as one GEMM per block of output rows, equal to one GEMM
-within rounding (see _conv). NCHW exists only at the network input and in
-the public conv2d and maxpool2d, which transpose around the same kernels
-and serve only the acceptance oracles.
+within rounding (see _conv). Windows pay for no np.pad: a padded copy is
+np.full plus one slice assignment, and max pooling reads its input in
+place, so only its backward pass pads. NCHW exists only at the network
+input and in the public conv2d and maxpool2d, which transpose around the
+same kernels and serve only the acceptance oracles.
 """
 
 import math
@@ -51,9 +53,14 @@ def _cells(kh, kw, stride, ho, wo):
 
 
 def _padded(x, pad, fill=0):
-    """x[C, H, W, N] with `pad` cells of `fill` around H and W (x itself if none)."""
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)),
-                  constant_values=fill) if pad else x
+    """x[C, H, W, N] with `pad` cells of `fill` around H and W (x itself if
+    none): the bytes of np.pad, from np.full and one slice assignment."""
+    if not pad:
+        return x
+    c, h, w, n = x.shape
+    xp = np.full((c, h + 2 * pad, w + 2 * pad, n), fill, x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x
+    return xp
 
 
 def _unfold(xp, kh, kw, stride, r0, r1, wo, buf=None):
@@ -139,29 +146,46 @@ def conv2d(x, w, b, stride=1, pad=0):
     return _conv(_to_last(x), w, b, stride, pad).transpose(3, 0, 1, 2).copy()
 
 
+def _running_max(x, axis, window, stride, pad, size):
+    """Max along `axis` over `window` cells at `stride` of x as if padded by
+    `pad` -inf cells: each cell's in-range strided slice of x is read in place
+    into its output range [lo, hi) of a -inf-filled result of `size` cells."""
+    out = np.full(x.shape[:axis] + (size,) + x.shape[axis + 1:], -np.inf, x.dtype)
+    at = (slice(None),) * axis
+    for i in range(window):
+        lo = max(0, -((i - pad) // stride))             # ceil((pad - i) / stride)
+        hi = min(size, (x.shape[axis] - 1 + pad - i) // stride + 1)
+        if lo < hi:
+            first = stride * lo + i - pad                   # x's cell for output lo
+            dst = out[at + (slice(lo, hi),)]
+            src = x[at + (slice(first, first + stride * (hi - lo - 1) + 1, stride),)]
+            np.maximum(dst, src, out=dst)
+    return out
+
+
 def _maxpool(x, window, stride, pad=0):
-    """Max over each window of batch-last x[C, H, W, N]: a running maximum
-    over the window**2 slices of a -inf-padded copy. Returns (output, saved
-    for _maxpool_backward)."""
+    """Max over each window of batch-last x[C, H, W, N], separably and with
+    no padded copy: a running max along H, then along W, each at the pool's
+    stride. A max is exact, so taking it in this order changes no value.
+    Returns (output, saved for _maxpool_backward)."""
     if window < 1:
         raise ShapeError(f"window must be >= 1, got {window}")
     c, h, w, n = x.shape
     ho = conv_output_extent(h, window, stride, pad)
     wo = conv_output_extent(w, window, stride, pad)
-    xl = _padded(x, pad, -np.inf)
-    first, *rest = _cells(window, window, stride, ho, wo)
-    out = xl[first].copy()
-    for s in rest:
-        np.maximum(out, xl[s], out=out)
-    return out, (xl, out, window, stride, pad)
+    rows = _running_max(x, 1, window, stride, pad, ho)
+    out = _running_max(rows, 2, window, stride, pad, wo)
+    return out, (x, out, window, stride, pad)
 
 
 def _maxpool_backward(g, saved):
     """Give each upstream element to the first row-major cell of its window
-    that holds the max. A cell shared by overlapping windows sums them in
+    that holds the max, over a -inf-padded copy of the input that only the
+    backward pass makes. A cell shared by overlapping windows sums them in
     output row-major order, the reverse of slice order. A non-finite
     upstream element also puts NaN in the other cells of its window."""
-    xl, out, window, stride, pad = saved
+    x, out, window, stride, pad = saved
+    xl = _padded(x, pad, -np.inf)
     cells = _cells(window, window, stride, *out.shape[1:3])
     free, wins = np.ones(out.shape, dtype=bool), []     # free: no winner yet
     for s in cells:

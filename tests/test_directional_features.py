@@ -365,15 +365,19 @@ def test_stack_batch_shape():
                                   stack_input(images[2], "original+gradient").planes)
 
 
-@pytest.mark.parametrize("mode", sorted(MODE_CHANNELS))
-def test_stack_batch_equals_one_image_at_a_time(mode):
-    # more images than one extractor chunk, and not a multiple of it
-    chunk = directional_features._CHUNK_PIXELS // (32 * 32)
+@pytest.mark.parametrize("mode,size", [
+    pytest.param(mode, size, id=mode if size == 32 else f"{mode}-{size}x{size}")
+    for size in (32, 114, 120) for mode in sorted(MODE_CHANNELS)])
+def test_stack_batch_equals_one_image_at_a_time(mode, size):
+    # the preset sizes (32 small, 114 and 120 full); more images than one
+    # extractor chunk, and not a multiple of it
+    chunk = directional_features._CHUNK_PIXELS // (size * size)
+    count = chunk + min(13, chunk - 1)
     rng = np.random.default_rng(12)
-    images = rng.random((chunk + 13, 32, 32), dtype=np.float32)
-    images[chunk + 3] = 0.5     # constant: zero span, zero peak, no HoG votes
+    images = rng.random((count, size, size), dtype=np.float32)
+    images[chunk + 1] = 0.5     # constant: zero span, zero peak, no HoG votes
     batch = stack_batch(images, mode)
-    assert batch.shape == (chunk + 13, MODE_CHANNELS[mode], 32, 32)
-    for i in range(len(images)):
+    assert batch.shape == (count, MODE_CHANNELS[mode], size, size)
+    for i in range(count):
         np.testing.assert_array_equal(batch[i], stack_batch(images[i:i + 1], mode)[0])
-    assert not batch[chunk + 3, 1:].any()
+    assert not batch[chunk + 1, 1:].any()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hccr import tensor_core as tc
+from hccr import network_builder as nb, tensor_core as tc
 
 from naive_ref import (conv2d_backward_ref, conv2d_ref, maxpool2d_backward_ref,
                        maxpool2d_ref, matmul_ref)
@@ -236,6 +236,65 @@ def test_batch_last_maxpool_and_backward_equal_loop_references(window, stride, p
     assert dx.dtype == dtype
     np.testing.assert_array_equal(
         first(dx), maxpool2d_backward_ref(x, first(g), window, stride, pad))
+
+
+@st.composite
+def _pools(draw):
+    """A pool with pad up to the window, so some windows lie wholly in the
+    padding, on integer inputs with ties and some +-inf."""
+    window, stride = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    pad = draw(st.integers(0, window))
+    h, w = (draw(st.integers(max(1, window - 2 * pad), 13)) for _ in range(2))
+    c, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.integers(-2, 3, (n, c, h, w)).astype(dtype)
+    x[rng.random(x.shape) < 0.05] = np.inf
+    x[rng.random(x.shape) < 0.05] = -np.inf
+    return x, window, stride, pad, rng
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(_pools())
+def test_separable_maxpool_and_backward_equal_loop_references(pool):
+    x, window, stride, pad, rng = pool
+    xl = last(x)
+    out, saved = tc._maxpool(xl, window, stride, pad)
+    np.testing.assert_array_equal(first(out), maxpool2d_ref(x, window, stride, pad))
+    assert saved[0] is xl           # the forward keeps x itself, not a padded copy
+    g = rng.standard_normal(out.shape).astype(x.dtype)
+    np.testing.assert_array_equal(
+        first(tc._maxpool_backward(g, saved)),
+        maxpool2d_backward_ref(x, first(g), window, stride, pad))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fill", [0, -np.inf])
+@pytest.mark.parametrize("pad", [1, 3])
+def test_padded_equals_np_pad_byte_for_byte(pad, fill, dtype):
+    x = rnd((3, 5, 4, 2), np.random.default_rng(pad), dtype)
+    want = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)), constant_values=fill)
+    got = tc._padded(x, pad, fill)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert tc._padded(x, 0, fill) is x
+
+
+@pytest.mark.parametrize("net", ["googlenet-small", "alexnet-small"])
+def test_network_passes_call_no_np_pad(monkeypatch, net):
+    spec = nb.build_net(net, 5, 1)
+    params = nb.init_weights(spec, seed=0)
+    x = np.random.default_rng(1).random((3, *spec.input_shape), dtype=np.float32)
+
+    def no_pad(*args, **kwargs):
+        raise AssertionError("np.pad called on a network pass")
+
+    monkeypatch.setattr(np, "pad", no_pad)
+    probs, _ = nb.forward_net(spec, params, x)
+    loss, _, grads = nb.loss_and_grads(spec, params, x, np.array([0, 2, 4]),
+                                       np.random.default_rng(2))
+    assert probs.shape == (3, 5) and np.isfinite(loss)
+    assert set(grads) == set(params)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ channel layout the networks consume. All extractors are pure functions.
 
 Image boundaries are handled by edge replication, not zero padding: a zero
 border would read as a strong phantom edge around every image and break the
-contract that featureless (constant) images produce all-zero planes.
+contract that featureless (constant) images produce all-zero planes. The
+Gabor bank correlates by FFT, the two Sobel kernels by one GEMM over a
+sliding-window view; HoG cells sum their votes with np.bincount.
 """
 
 import functools
@@ -82,42 +84,46 @@ def gabor_bank(spec=None):
     return bank
 
 
-def _same_conv(image, kernels):
-    """Cross-correlate each image [..., H, W] with kernels [F, k, k] on an
-    edge-replicated border, in runs of images blocked as tc._conv: [F, ..., H, W]."""
+def _edge_padded(image, r):
+    """Finite images [..., H, W] as float32 [..., H+2r, W+2r], edge-replicated."""
     images = np.asarray(image, dtype=tc.FLOAT)
     if images.ndim < 2:
         raise tc.ShapeError(f"expected grayscale images [..., H, W], got {images.shape}")
     if not np.isfinite(images).all():
         raise ValueError("image values must be finite")
-    r = kernels.shape[-1] // 2
-    h, w = images.shape[-2:]
-    padded = np.pad(images.reshape(-1, h, w), [(0, 0), (r, r), (r, r)], mode="edge")
-    windows = sliding_window_view(padded, kernels.shape[1:], axis=(-2, -1))
-    km = kernels.reshape(len(kernels), -1)
-    out = np.empty((len(km), len(padded), h * w), tc.FLOAT)
-    tile = 8 // math.gcd(h * w, 8)          # images per whole 8-column tile
-    step = max(tile, tc._COLS_BYTES // (km.shape[1] * h * w * out.itemsize) // tile * tile)
-    edges = [*range(0, max(len(padded) - step, 0) + 1, step), len(padded)]  # as tc._conv
-    for i, j in zip(edges, edges[1:]):
-        cols = np.moveaxis(windows[i:j], (-2, -1), (0, 1)).reshape(km.shape[1], -1)
-        np.matmul(km, cols, out=out[:, i:j].reshape(len(km), -1))
-    return out.reshape((len(km),) + images.shape)
+    return np.pad(images, [(0, 0)] * (images.ndim - 2) + [(r, r)] * 2, mode="edge")
+
+
+@functools.lru_cache(maxsize=8)
+def _gabor_spectrum(spec, shape):
+    """Conjugate rfft2 [D, Hp, Wp//2+1] of the bank zero-padded to `shape`, read-only."""
+    spectrum = np.conj(np.fft.rfft2(gabor_bank(spec), s=shape))
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def gabor_responses(image, spec=None):
     """Raw signed same-padded responses [..., D, H, W], no rescaling.
 
-    Useful for comparing response energy between orientations; the min-max
-    rescaling in gabor_maps deliberately equalizes plane ranges and so
-    erases that ordering.
+    One batched rfft2 of the edge-padded images; per orientation, times its
+    conjugate spectrum, irfft2 and a crop to H x W, so no temporary holds
+    all D planes. The crop's windows lie inside the padded image, so the
+    circular correlation never wraps into it. Useful for comparing response
+    energy between orientations; gabor_maps equalizes plane ranges.
     """
     spec = spec or GaborBankSpec()
     k = spec.kernel_size
     if min(np.shape(image)[-2:], default=0) < k:
         raise tc.ShapeError(f"image {np.shape(image)} is smaller than the "
                             f"{k}x{k} kernel")
-    return np.ascontiguousarray(np.moveaxis(_same_conv(image, gabor_bank(spec)), 0, -3))
+    padded = _edge_padded(image, k // 2)
+    shape = padded.shape[-2:]
+    h, w = shape[0] - k + 1, shape[1] - k + 1
+    spectra = np.fft.rfft2(padded)
+    out = np.empty(padded.shape[:-2] + (spec.orientation_count, h, w), tc.FLOAT)
+    for d, kernel in enumerate(_gabor_spectrum(spec, shape)):
+        out[..., d, :, :] = np.fft.irfft2(spectra * kernel, s=shape)[..., :h, :w]
+    return out
 
 
 def gabor_maps(image, spec=None):
@@ -125,9 +131,10 @@ def gabor_maps(image, spec=None):
     response = gabor_responses(image, spec)
     lo = response.min(axis=(-2, -1), keepdims=True)
     span = response.max(axis=(-2, -1), keepdims=True) - lo
-    # spans up to 1e-6 are rounding residue, not signal
-    return np.divide(response - lo, span, out=np.zeros_like(response),
-                     where=span > 1e-6)
+    response -= lo
+    np.divide(response, span, out=response, where=span > 1e-6)
+    response[span[..., 0, 0] <= 1e-6] = 0     # spans up to 1e-6 are rounding residue
+    return response
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +142,7 @@ def gabor_maps(image, spec=None):
 
 _SOBEL = np.array([[[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]],         # x
                    [[-1, -2, -1], [0, 0, 0], [1, 2, 1]]],       # y
-                  dtype=tc.FLOAT)
+                  dtype=tc.FLOAT).reshape(2, 9)                 # GEMM rows
 
 # Compass unit vectors 45 degrees apart, east first, counterclockwise,
 # in (x east, y north) coordinates.
@@ -144,18 +151,41 @@ CHAINCODE_DIRECTIONS = np.array(
 
 
 def sobel_gradients(image):
-    """(gx, gy) with replicated borders; gx grows rightward, gy downward."""
-    return tuple(_same_conv(image, _SOBEL))
+    """(gx, gy) with replicated borders; gx grows rightward, gy downward; one
+    GEMM over a sliding-window view per run of images blocked as tc._conv."""
+    padded = _edge_padded(image, 1)
+    h, w = padded.shape[-2] - 2, padded.shape[-1] - 2
+    windows = sliding_window_view(padded.reshape(-1, h + 2, w + 2), (3, 3), axis=(-2, -1))
+    out = np.empty((2, len(windows), h * w), tc.FLOAT)
+    tile = 8 // math.gcd(h * w, 8)          # images per whole 8-column tile
+    step = max(tile, tc._COLS_BYTES // (9 * h * w * out.itemsize) // tile * tile)
+    edges = [*range(0, max(len(windows) - step, 0) + 1, step), len(windows)]  # as tc._conv
+    for i, j in zip(edges, edges[1:]):
+        cols = np.moveaxis(windows[i:j], (-2, -1), (0, 1)).reshape(9, -1)
+        np.matmul(_SOBEL, cols, out=out[:, i:j].reshape(2, -1))
+    return tuple(out.reshape((2,) + padded.shape[:-2] + (h, w)))
 
 
-def _vote(count, index, low, high):
-    """Planes [..., count, H, W] with each pixel's `low` at plane `index` and
-    its `high` at plane index+1 (mod count); the two never collide."""
-    planes = np.zeros(index.shape[:-2] + (count,) + index.shape[-2:])
-    index = index[..., None, :, :]
-    np.put_along_axis(planes, index, low[..., None, :, :], axis=-3)
-    np.put_along_axis(planes, (index + 1) % count, high[..., None, :, :], axis=-3)
+def _vote(count, index, votes, dtype=np.float64):
+    """Planes [..., count, H, W] with each pixel's votes[k] at plane
+    index+k (mod count), k = 0, 1; the two never collide."""
+    planes = np.zeros(index.shape[:-2] + (count,) + index.shape[-2:], dtype)
+    for k, v in enumerate(votes):
+        np.put_along_axis(planes, (index[..., None, :, :] + k) % count, v[..., None, :, :], -3)
     return planes
+
+
+def _chaincode(gx, gy):
+    """(sector, [a, b]) in float64: each vector is a*d_sector + b*d_(sector+1)."""
+    gx = np.asarray(gx, dtype=np.float64)
+    gy = np.asarray(gy, dtype=np.float64)
+    if gx.shape != gy.shape:
+        raise tc.ShapeError(f"component shapes differ: {gx.shape} vs {gy.shape}")
+    m = np.hypot(gx, gy)
+    phi = np.mod(np.arctan2(gy, gx), 2 * math.pi)
+    sector = np.minimum((phi / (math.pi / 4)).astype(np.int64), 7)
+    delta = phi - sector * (math.pi / 4)
+    return sector, m * np.sin(np.stack([math.pi / 4 - delta, delta])) / math.sin(math.pi / 4)
 
 
 def chaincode_decompose(gx, gy):
@@ -168,18 +198,7 @@ def chaincode_decompose(gx, gy):
     coefficients are non-negative and the pair reconstructs the gradient
     exactly. Returns [..., 8, H, W] raw (unscaled) coefficient planes.
     """
-    gx = np.asarray(gx, dtype=np.float64)
-    gy = np.asarray(gy, dtype=np.float64)
-    if gx.shape != gy.shape:
-        raise tc.ShapeError(f"component shapes differ: {gx.shape} vs {gy.shape}")
-    m = np.hypot(gx, gy)
-    phi = np.mod(np.arctan2(gy, gx), 2 * math.pi)
-    sector = np.minimum((phi / (math.pi / 4)).astype(np.int64), 7)
-    delta = phi - sector * (math.pi / 4)
-    s45 = math.sin(math.pi / 4)
-    b = m * np.sin(delta) / s45
-    a = m * np.sin(math.pi / 4 - delta) / s45
-    return _vote(8, sector, a, b)
+    return _vote(8, *_chaincode(gx, gy))
 
 
 def gradient_maps(image):
@@ -190,10 +209,11 @@ def gradient_maps(image):
     planes together, preserving relative stroke strength across directions.
     """
     gx, gy = sobel_gradients(image)
-    planes = chaincode_decompose(gx, -gy)
-    peak = planes.max(axis=(-3, -2, -1), keepdims=True)
-    np.divide(planes, peak, out=planes, where=peak > 0)
-    return planes.astype(tc.FLOAT)
+    sector, ab = _chaincode(gx, -gy)
+    # scaled before the vote, as each coefficient lands in a cell of its own
+    peak = ab.max(axis=(0, -2, -1), keepdims=True)
+    np.divide(ab, peak, out=ab, where=peak > 0)
+    return _vote(8, sector, ab, tc.FLOAT)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +232,7 @@ HOG_EPSILON = 1e-5
 
 
 def _cell_histograms(images):
-    """Vote planes summed per cell: [..., bins, Hc, Wc] on the padded grid."""
+    """Votes summed per cell, in pixel order: [..., bins, Hc, Wc] on the padded grid."""
     h, w = images.shape[-2:]
     cs = HOG_CELL
     pad = [(0, 0)] * (images.ndim - 2) + [(0, (-h) % cs), (0, (-w) % cs)]
@@ -222,9 +242,14 @@ def _cell_histograms(images):
     t = phi / (math.pi / HOG_BINS)
     k0 = np.minimum(t.astype(np.int64), HOG_BINS - 1)
     frac = t - k0
-    votes = _vote(HOG_BINS, k0, (1.0 - frac) * m, frac * m)
-    hc, wc = votes.shape[-2] // cs, votes.shape[-1] // cs
-    return votes.reshape(votes.shape[:-2] + (hc, cs, wc, cs)).sum(axis=(-3, -1))
+    hp, wp = gx.shape[-2:]
+    shape = gx.shape[:-2] + (HOG_BINS, hp // cs, wp // cs)
+    image = np.arange(gx.size // (hp * wp)).reshape(gx.shape[:-2] + (1, 1))
+    cell = np.arange(hp)[:, None] // cs * (wp // cs) + np.arange(wp) // cs
+    hist = sum(np.bincount(((image * HOG_BINS + (k0 + k) % HOG_BINS) * (hp // cs) * (wp // cs)
+                            + cell).ravel(), v.ravel(), math.prod(shape))
+               for k, v in enumerate(m * np.stack([1.0 - frac, frac])))
+    return hist.reshape(shape)
 
 
 def _normalize_blocks(hist):
@@ -251,9 +276,9 @@ def _normalize_blocks(hist):
 def hog_maps(image):
     """Per-bin HoG planes [..., HOG_BINS, H, W] at input resolution, in [0,1]."""
     images = np.asarray(image, dtype=tc.FLOAT)
-    cells = _normalize_blocks(_cell_histograms(images))
+    cells = _normalize_blocks(_cell_histograms(images)).astype(tc.FLOAT)
     planes = cells.repeat(HOG_CELL, axis=-2).repeat(HOG_CELL, axis=-1)
-    return planes[..., :images.shape[-2], :images.shape[-1]].astype(tc.FLOAT)
+    return planes[..., :images.shape[-2], :images.shape[-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +298,8 @@ MODE_CHANNELS = {
 }
 
 
-# Pixels per extractor call, 64 images of 32x32: it bounds the extractors'
-# float64 intermediates to a few MB; _same_conv bounds its own unfold.
+# Pixels per extractor call, 64 images of 32x32: it bounds the chaincode's float64
+# arrays and the Gabor spectra to a few MiB; sobel_gradients bounds its own unfold.
 _CHUNK_PIXELS = 64 * 32 * 32
 
 

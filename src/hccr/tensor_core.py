@@ -10,7 +10,7 @@ input, and a 1x1 stride-1 conv needs no unfold at all. An unfold above
 _COLS_BYTES runs as one GEMM per block of output rows, equal to one GEMM
 within rounding (see _conv). Windows pay for no np.pad: a padded copy is
 np.full plus one slice assignment, and max pooling reads its input in
-place, so only its backward pass pads. NCHW exists only at the network
+place, forward and backward. NCHW exists only at the network
 input and in the public conv2d and maxpool2d, which transpose around the
 same kernels and serve only the acceptance oracles.
 """
@@ -146,20 +146,23 @@ def conv2d(x, w, b, stride=1, pad=0):
     return _conv(_to_last(x), w, b, stride, pad).transpose(3, 0, 1, 2).copy()
 
 
+def _in_range(i, stride, pad, extent, size):
+    """(outputs, x's cells) along an axis where window cell i lies in x, not padding."""
+    lo = max(0, -((i - pad) // stride))                 # ceil((pad - i) / stride)
+    hi = max(lo, min(size, (extent - 1 + pad - i) // stride + 1))
+    first = stride * lo + i - pad                       # x's cell for output lo
+    return slice(lo, hi), slice(first, first + stride * (hi - lo), stride)
+
+
 def _running_max(x, axis, window, stride, pad, size):
     """Max along `axis` over `window` cells at `stride` of x as if padded by
     `pad` -inf cells: each cell's in-range strided slice of x is read in place
-    into its output range [lo, hi) of a -inf-filled result of `size` cells."""
+    into its output range of a -inf-filled result of `size` cells."""
     out = np.full(x.shape[:axis] + (size,) + x.shape[axis + 1:], -np.inf, x.dtype)
     at = (slice(None),) * axis
     for i in range(window):
-        lo = max(0, -((i - pad) // stride))             # ceil((pad - i) / stride)
-        hi = min(size, (x.shape[axis] - 1 + pad - i) // stride + 1)
-        if lo < hi:
-            first = stride * lo + i - pad                   # x's cell for output lo
-            dst = out[at + (slice(lo, hi),)]
-            src = x[at + (slice(first, first + stride * (hi - lo - 1) + 1, stride),)]
-            np.maximum(dst, src, out=dst)
+        dst, src = _in_range(i, stride, pad, x.shape[axis], size)
+        np.maximum(out[at + (dst,)], x[at + (src,)], out=out[at + (dst,)])
     return out
 
 
@@ -180,22 +183,24 @@ def _maxpool(x, window, stride, pad=0):
 
 def _maxpool_backward(g, saved):
     """Give each upstream element to the first row-major cell of its window
-    that holds the max, over a -inf-padded copy of the input that only the
-    backward pass makes. A cell shared by overlapping windows sums them in
-    output row-major order, the reverse of slice order. A non-finite
-    upstream element also puts NaN in the other cells of its window."""
+    that holds the max, comparing each cell's in-range slice of the unpadded
+    input in place. A cell shared by overlapping windows sums them in output
+    row-major order, the reverse of cell order. A non-finite upstream
+    element also puts NaN in the other cells of its window."""
     x, out, window, stride, pad = saved
-    xl = _padded(x, pad, -np.inf)
-    cells = _cells(window, window, stride, *out.shape[1:3])
-    free, wins = np.ones(out.shape, dtype=bool), []     # free: no winner yet
-    for s in cells:
-        wins.append((xl[s] == out) & free)
-        free ^= wins[-1]
-    dl = np.zeros(xl.shape, dtype=g.dtype)
-    for s, win in zip(reversed(cells), reversed(wins)):
-        dl[s] += g * win
-    hp, wp = xl.shape[1:3]
-    return dl[:, pad:hp - pad, pad:wp - pad]
+    ys, xs = ([_in_range(i, stride, pad, x.shape[a], out.shape[a]) for i in range(window)]
+              for a in (1, 2))
+    cells = [((slice(None), oy, ox), (slice(None), iy, ix)) for oy, iy in ys for ox, ix in xs]
+    # a -inf window goes to its first cell, which may be padding (as -inf)
+    free, wins = out != -np.inf, []                     # free: no winner yet
+    free[cells[0][0]] = True
+    for o, i in cells:
+        wins.append((x[i] == out[o]) & free[o])
+        free[o] ^= wins[-1]
+    dx = np.zeros(x.shape, dtype=g.dtype)
+    for (o, i), win in zip(reversed(cells), reversed(wins)):
+        dx[i] += g[o] * win
+    return dx
 
 
 def maxpool2d(x, window, stride, pad=0):

@@ -1,10 +1,17 @@
 """Naive loop-based reference implementations.
 
 Deliberately slow and independent of the vectorized kernels: plain Python
-loops only, so they can serve as oracles.
+loops only, so they can serve as oracles. The two directional-feature
+oracles at the end are the exception: they vote into a full float64 plane
+volume, an order of arithmetic the extractors must match bit for bit.
 """
 
+import math
+
 import numpy as np
+
+from hccr.directional_features import (HOG_BINS, HOG_CELL, chaincode_decompose,
+                                       sobel_gradients)
 
 
 def conv2d_ref(x, w, b, stride=1, pad=0):
@@ -108,3 +115,31 @@ def matmul_ref(x, w, b):
                 acc += x[ni, di] * w[ti, di]
             out[ni, ti] = acc + b[ti]
     return out
+
+
+def gradient_maps_ref(images):
+    """gradient_maps by the float64 plane volume: vote, rescale every plane
+    by the image's peak, then round to float32."""
+    gx, gy = sobel_gradients(images)
+    planes = chaincode_decompose(gx, -gy)
+    peak = planes.max(axis=(-3, -2, -1), keepdims=True)
+    np.divide(planes, peak, out=planes, where=peak > 0)
+    return planes.astype(np.float32)
+
+
+def hog_cell_histograms_ref(images):
+    """HoG cell histograms [..., bins, Hc, Wc] summed from a float64 vote
+    volume [..., bins, H, W] in numpy's reduction order."""
+    h, w = images.shape[-2:]
+    cs = HOG_CELL
+    pad = [(0, 0)] * (images.ndim - 2) + [(0, (-h) % cs), (0, (-w) % cs)]
+    gx, gy = sobel_gradients(np.pad(images, pad, mode="edge"))
+    m = np.hypot(gx, -gy)
+    t = np.mod(np.arctan2(-gy, gx), math.pi) / (math.pi / HOG_BINS)
+    k0 = np.minimum(t.astype(np.int64), HOG_BINS - 1)[..., None, :, :]
+    frac = (t - k0[..., 0, :, :])[..., None, :, :]
+    votes = np.zeros(gx.shape[:-2] + (HOG_BINS,) + gx.shape[-2:])
+    np.put_along_axis(votes, k0, (1.0 - frac) * m[..., None, :, :], axis=-3)
+    np.put_along_axis(votes, (k0 + 1) % HOG_BINS, frac * m[..., None, :, :], axis=-3)
+    hc, wc = votes.shape[-2] // cs, votes.shape[-1] // cs
+    return votes.reshape(votes.shape[:-2] + (hc, cs, wc, cs)).sum(axis=(-3, -1))

@@ -8,8 +8,8 @@ channel layout the networks consume. All extractors are pure functions.
 Image boundaries are handled by edge replication, not zero padding: a zero
 border would read as a strong phantom edge around every image and break the
 contract that featureless (constant) images produce all-zero planes. The
-Gabor bank correlates by FFT, the two Sobel kernels by one GEMM over a
-sliding-window view; HoG cells sum their votes with np.bincount.
+Gabor bank correlates by FFT, the two Sobel kernels by shifted slices; HoG
+cells sum their votes with np.bincount. No extractor calls BLAS.
 """
 
 import functools
@@ -140,10 +140,6 @@ def gabor_maps(image, spec=None):
 # ---------------------------------------------------------------------------
 # chaincode gradient decomposition
 
-_SOBEL = np.array([[[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]],         # x
-                   [[-1, -2, -1], [0, 0, 0], [1, 2, 1]]],       # y
-                  dtype=tc.FLOAT).reshape(2, 9)                 # GEMM rows
-
 # Compass unit vectors 45 degrees apart, east first, counterclockwise,
 # in (x east, y north) coordinates.
 CHAINCODE_DIRECTIONS = np.array(
@@ -151,27 +147,29 @@ CHAINCODE_DIRECTIONS = np.array(
 
 
 def sobel_gradients(image):
-    """(gx, gy) with replicated borders; gx grows rightward, gy downward; one
-    GEMM over a sliding-window view per run of images blocked as tc._conv."""
+    """(gx, gy) with replicated borders; gx grows rightward, gy downward.
+
+    Each adds its kernel's six nonzero cells, as shifted slices of the padded
+    images, in row-major order. Products by +-1 and +-2 are exact in float32,
+    so the bits equal one GEMM of the kernels over the windows, which adds in
+    that order too."""
     padded = _edge_padded(image, 1)
     h, w = padded.shape[-2] - 2, padded.shape[-1] - 2
-    windows = sliding_window_view(padded.reshape(-1, h + 2, w + 2), (3, 3), axis=(-2, -1))
-    out = np.empty((2, len(windows), h * w), tc.FLOAT)
-    tile = 8 // math.gcd(h * w, 8)          # images per whole 8-column tile
-    step = max(tile, tc._COLS_BYTES // (9 * h * w * out.itemsize) // tile * tile)
-    edges = [*range(0, max(len(windows) - step, 0) + 1, step), len(windows)]  # as tc._conv
-    for i, j in zip(edges, edges[1:]):
-        cols = np.moveaxis(windows[i:j], (-2, -1), (0, 1)).reshape(9, -1)
-        np.matmul(_SOBEL, cols, out=out[:, i:j].reshape(2, -1))
-    return tuple(out.reshape((2,) + padded.shape[:-2] + (h, w)))
+
+    def cell(i, j):
+        return padded[..., i:i + h, j:j + w]
+
+    gx = -cell(0, 0) + cell(0, 2) - 2 * cell(1, 0) + 2 * cell(1, 2) - cell(2, 0) + cell(2, 2)
+    gy = -cell(0, 0) - 2 * cell(0, 1) - cell(0, 2) + cell(2, 0) + 2 * cell(2, 1) + cell(2, 2)
+    return gx, gy
 
 
-def _vote(count, index, votes, dtype=np.float64):
-    """Planes [..., count, H, W] with each pixel's votes[k] at plane
-    index+k (mod count), k = 0, 1; the two never collide."""
-    planes = np.zeros(index.shape[:-2] + (count,) + index.shape[-2:], dtype)
+def _vote(index, votes, dtype=np.float64):
+    """Planes [..., 8, H, W] with each pixel's votes[k] at chaincode plane
+    index+k (mod 8), k = 0, 1; the two never collide."""
+    planes = np.zeros(index.shape[:-2] + (8,) + index.shape[-2:], dtype)
     for k, v in enumerate(votes):
-        np.put_along_axis(planes, (index[..., None, :, :] + k) % count, v[..., None, :, :], -3)
+        np.put_along_axis(planes, (index[..., None, :, :] + k) % 8, v[..., None, :, :], -3)
     return planes
 
 
@@ -198,7 +196,7 @@ def chaincode_decompose(gx, gy):
     coefficients are non-negative and the pair reconstructs the gradient
     exactly. Returns [..., 8, H, W] raw (unscaled) coefficient planes.
     """
-    return _vote(8, *_chaincode(gx, gy))
+    return _vote(*_chaincode(gx, gy))
 
 
 def gradient_maps(image):
@@ -213,7 +211,7 @@ def gradient_maps(image):
     # scaled before the vote, as each coefficient lands in a cell of its own
     peak = ab.max(axis=(0, -2, -1), keepdims=True)
     np.divide(ab, peak, out=ab, where=peak > 0)
-    return _vote(8, sector, ab, tc.FLOAT)
+    return _vote(sector, ab, tc.FLOAT)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +297,7 @@ MODE_CHANNELS = {
 
 
 # Pixels per extractor call, 64 images of 32x32: it bounds the chaincode's float64
-# arrays and the Gabor spectra to a few MiB; sobel_gradients bounds its own unfold.
+# arrays, the Gabor spectra and the Sobel temporaries to a few MiB.
 _CHUNK_PIXELS = 64 * 32 * 32
 
 

@@ -1,14 +1,16 @@
 """Naive loop-based reference implementations.
 
 Deliberately slow and independent of the vectorized kernels: plain Python
-loops only, so they can serve as oracles. The two directional-feature
-oracles at the end are the exception: they vote into a full float64 plane
-volume, an order of arithmetic the extractors must match bit for bit.
+loops only, so they can serve as oracles. The three directional-feature
+oracles at the end are the exception: Sobel by one GEMM over a
+sliding-window view, and gradient and HoG planes voted into a full float64
+plane volume, orders of arithmetic the extractors must match bit for bit.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hccr.directional_features import (HOG_BINS, HOG_CELL, chaincode_decompose,
                                        sobel_gradients)
@@ -115,6 +117,22 @@ def matmul_ref(x, w, b):
                 acc += x[ni, di] * w[ti, di]
             out[ni, ti] = acc + b[ti]
     return out
+
+
+SOBEL = np.array([[[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]],       # x
+                  [[-1, -2, -1], [0, 0, 0], [1, 2, 1]]],     # y
+                 dtype=np.float32)
+
+
+def sobel_gemm_ref(images):
+    """(gx, gy) of edge-padded float32 images [..., H, W] as one GEMM
+    `kernels @ cols` over a sliding-window view of the whole batch."""
+    images = np.asarray(images, dtype=np.float32)
+    h, w = images.shape[-2:]
+    padded = np.pad(images, [(0, 0)] * (images.ndim - 2) + [(1, 1)] * 2, mode="edge")
+    windows = sliding_window_view(padded.reshape(-1, h + 2, w + 2), (3, 3), axis=(-2, -1))
+    cols = np.moveaxis(windows, (-2, -1), (0, 1)).reshape(9, -1)
+    return tuple((SOBEL.reshape(2, 9) @ cols).reshape((2,) + images.shape))
 
 
 def gradient_maps_ref(images):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from naive_ref import conv2d_ref, gradient_maps_ref, hog_cell_histograms_ref
+from naive_ref import (SOBEL, conv2d_ref, gradient_maps_ref, hog_cell_histograms_ref,
+                       sobel_gemm_ref)
 
 from hccr import directional_features
 from hccr.directional_features import (
@@ -288,31 +289,14 @@ def test_gabor_responses_match_loop_oracle(shape):
 @pytest.mark.parametrize("shape", ORACLE_SHAPES)
 def test_sobel_gradients_match_loop_oracle(shape):
     images = np.random.default_rng(22).random(shape, dtype=np.float32)
-    sobel = np.array([[[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]],
-                      [[-1, -2, -1], [0, 0, 0], [1, 2, 1]]], dtype=np.float32)
-    want = edge_correlation_ref(images, sobel)
+    want = edge_correlation_ref(images, SOBEL)
     gx, gy = sobel_gradients(images)
     np.testing.assert_allclose(gx, want[..., 0, :, :], rtol=0, atol=1e-5)
     np.testing.assert_allclose(gy, want[..., 1, :, :], rtol=0, atol=1e-5)
 
 
-@pytest.mark.parametrize("extract,k", [(sobel_gradients, 3)])
-def test_correlation_in_image_runs_equals_one_gemm(monkeypatch, extract, k):
-    images = np.random.default_rng(23).random((6, 3, 13, 17), dtype=np.float32)
-    whole = np.asarray(extract(images))
-    runs, matmul = [], np.matmul
-    monkeypatch.setattr(np, "matmul", lambda a, b, **kw:
-                        runs.append(b.shape[1] // (13 * 17)) or matmul(a, b, **kw))
-    # 12 images fit, rounded down to 8 so each run ends on a whole 8-column
-    # tile; the short tail of 2 joins the last run
-    monkeypatch.setattr(directional_features.tc, "_COLS_BYTES", 12 * k * k * 13 * 17 * 4)
-    blocked = np.asarray(extract(images))
-    assert runs == [8, 10]
-    np.testing.assert_array_equal(blocked, whole)
-
-
 # ---------------------------------------------------------------------------
-# gradient and HoG votes against the float64 vote-volume oracles
+# Sobel, gradient and HoG against their GEMM and float64 vote-volume oracles
 
 def stroke_image(h, w):
     """Binary strokes: a vertical bar, a horizontal bar and a diagonal."""
@@ -330,6 +314,15 @@ def oracle_images(h, w):
 
 
 ORACLE_SIZES = [(32, 32), (13, 17), (114, 114), (120, 120)]
+
+
+@pytest.mark.parametrize("shape", [(4, h, w) for h, w in ORACLE_SIZES] + [(2, 3, 13, 17)])
+def test_sobel_gradients_equal_gemm_oracle(shape):
+    images = oracle_images(*shape[-2:]) if len(shape) == 3 else \
+        np.random.default_rng(24).random(shape, dtype=np.float32)
+    for got, want in zip(sobel_gradients(images), sobel_gemm_ref(images), strict=True):
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("h,w", ORACLE_SIZES)

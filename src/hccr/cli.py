@@ -26,6 +26,7 @@ from .pipeline_data import (
     load_gnt,
     load_image_dir,
     preprocess_dataset,
+    same_shape_runs,
     shuffle_split,
     synth_glyphs,
     write_gnt,
@@ -174,12 +175,10 @@ def cmd_extract(args):
     out.mkdir(parents=True, exist_ok=True)
     names = ["".join(f"%{ord(ch):02X}" if ch in "/\0%" else ch for ch in tag)
              for tag in raw.class_names]        # each one path component
-    groups = {}     # stack_batch takes one image shape; 1024-sample windows bound its memory
-    for index, sample in enumerate(raw.samples):
-        groups.setdefault((sample.image.shape, index // 1024), []).append(index)
-    for indices in groups.values():
-        stacks = stack_batch([raw.samples[i].image for i in indices], args.mode)
-        for index, planes in zip(indices, stacks):
+    images = [sample.image for sample in raw.samples]
+    for run in same_shape_runs(images, 1024):      # the window bounds memory
+        stacks = stack_batch([images[i] for i in run], args.mode)
+        for index, planes in zip(run, stacks):
             tc.write_dtns(out / f"{index:05d}_{names[raw.samples[index].label]}.dtns", planes)
             if index == 0:
                 for j, plane in enumerate(planes):

@@ -3,11 +3,14 @@
 Preprocessing follows a fixed recipe: reverse the gray values so ink is
 bright on a dark ground, bilinear-resize to the network's inner square,
 then center the result inside a slightly larger mask with blank margins.
-Ingestion covers GNT binary sample files, directories of PGM images, and
-a deterministic synthetic glyph task for desk-scale experiments.
+Each stage takes images [..., H, W]; preprocess_dataset stacks runs of up
+to 32 consecutive same-shape samples. Ingestion covers GNT binary sample
+files, directories of P5 PGM images (header grammar in read_pgm), and a
+deterministic synthetic glyph task for desk-scale experiments.
 """
 
 import math
+import re
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -89,11 +92,9 @@ def resize_bilinear(image, target):
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
     image = np.asarray(image, dtype=tc.FLOAT)
-    if image.ndim != 2:
-        raise tc.ShapeError(f"expected a 2-d grayscale image, got {image.shape}")
-    h, w = image.shape
-    if (h, w) == (target, target):
-        return image.copy()
+    if image.ndim < 2:
+        raise tc.ShapeError(f"expected grayscale images [..., H, W], got {image.shape}")
+    h, w = image.shape[-2:]
 
     def positions(extent):
         if target == 1:
@@ -101,45 +102,56 @@ def resize_bilinear(image, target):
         return np.arange(target) * (extent - 1) / (target - 1)
 
     ys, xs = positions(h), positions(w)
-    y0 = np.floor(ys).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)[:, None]
     x0 = np.floor(xs).astype(np.int64)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    out = ((1 - wy) * (1 - wx) * image[np.ix_(y0, x0)] +
-           (1 - wy) * wx * image[np.ix_(y0, x1)] +
-           wy * (1 - wx) * image[np.ix_(y1, x0)] +
-           wy * wx * image[np.ix_(y1, x1)])
+    wy, wx = ys[:, None] - y0, xs - x0
+    out = ((1 - wy) * (1 - wx) * image[..., y0, x0] +
+           (1 - wy) * wx * image[..., y0, x1] +
+           wy * (1 - wx) * image[..., y1, x0] +
+           wy * wx * image[..., y1, x1])
     return out.astype(tc.FLOAT)
 
 
 def center_pad(image, mask):
-    """Center the image inside a mask x mask square of background zeros."""
+    """Center images inside mask x mask squares of background zeros."""
     image = np.asarray(image, dtype=tc.FLOAT)
-    h, w = image.shape
+    h, w = image.shape[-2:]
     if mask < h or mask < w:
         raise ValueError(f"mask {mask} smaller than image {image.shape}")
     if (mask - h) % 2 or (mask - w) % 2:
         raise ValueError(f"mask {mask} minus image {image.shape} must leave "
                          f"even margins")
-    out = np.zeros((mask, mask), dtype=tc.FLOAT)
+    out = np.zeros(image.shape[:-2] + (mask, mask), dtype=tc.FLOAT)
     my, mx = (mask - h) // 2, (mask - w) // 2
-    out[my:my + h, mx:mx + w] = image
+    out[..., my:my + h, mx:mx + w] = image
     return out
 
 
-def preprocess(sample, spec):
-    """invert -> resize to target -> center-pad into the mask."""
-    image = invert_gray(sample.image)
-    image = resize_bilinear(image, spec.target)
-    image = center_pad(image, spec.mask)
-    return replace(sample, image=image)
+def same_shape_runs(images, window):
+    """Index ranges that cover `images` in order, each a run of at most
+    `window` consecutive images of one shape."""
+    cuts = [i for i in range(1, len(images)) if images[i].shape != images[i - 1].shape]
+    return [range(i, min(i + window, stop))
+            for start, stop in zip([0] + cuts, cuts + [len(images)])
+            for i in range(start, stop, window)]
 
 
 def preprocess_dataset(dataset, spec):
-    return Dataset([preprocess(s, spec) for s in dataset.samples],
-                   dataset.class_names)
+    """invert -> resize to target -> center-pad into the mask, each run of up to
+    32 same-shape samples as one array (bounding float64 temporaries)."""
+    samples, out = dataset.samples, []
+    for run in same_shape_runs([s.image for s in samples], 32):
+        images = invert_gray([samples[i].image for i in run])
+        images = center_pad(resize_bilinear(images, spec.target), spec.mask)
+        out.extend(replace(samples[i], image=image) for i, image in zip(run, images))
+    return Dataset(out, dataset.class_names)
+
+
+def preprocess(sample, spec):
+    """preprocess_dataset of one sample."""
+    return preprocess_dataset(Dataset([sample], ()), spec).samples[0]
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +166,7 @@ def load_gnt(path):
     folders, so the same classes get the same labels in any record order.
     """
     data = Path(path).read_bytes()
+    scaled = np.frombuffer(data, dtype=np.uint8) / np.float32(255.0)
     images, tags = [], []
     offset = 0
     while offset < len(data):
@@ -170,10 +183,7 @@ def load_gnt(path):
         if offset + size > len(data):
             raise ValueError(f"truncated record body at byte {offset}: "
                              f"need {size} bytes, have {len(data) - offset}")
-        pixels = np.frombuffer(data, dtype=np.uint8, count=width * height,
-                               offset=offset + 10)
-        image = (pixels.reshape(height, width) / np.float32(255.0)).astype(tc.FLOAT)
-        images.append(image)
+        images.append(scaled[offset + 10:offset + size].reshape(height, width))
         tags.append(tag.decode("latin-1"))
         offset += size
     names = sorted(set(tags))
@@ -210,25 +220,15 @@ def write_gnt(dataset, path):
 # PGM (P5) images and labeled directories
 
 def read_pgm(path):
-    """P5 grayscale image scaled to [0,1]; maxval up to 255 only."""
+    """P5 grayscale image scaled to [0,1]; maxval up to 255 only. Header:
+    "P5", then width, height and maxval, each after whitespace or "#...\\n"
+    comments, then one whitespace byte (a signed extent reads as empty)."""
     data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a P5 image")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = fields
+    header = re.match(rb"P5" + rb"(?:\s|#[^\n]*\n)+(-?\d+)" * 3 + rb"\s", data)
+    if header is None:
+        raise ValueError(f"{path}: not a P5 image with a width, height and maxval")
+    pos = header.end()
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
         raise ValueError(f"{path}: image extent {width}x{height} is empty")
     if not 0 < maxval <= 255:

@@ -1,10 +1,13 @@
 """Naive loop-based reference implementations.
 
 Deliberately slow and independent of the vectorized kernels: plain Python
-loops only, so they can serve as oracles. The three directional-feature
-oracles at the end are the exception: Sobel by one GEMM over a
+loops only, so they can serve as oracles. The four oracles at the end are
+the exception. The preprocessing oracle runs one image at a time, with a
+2-d `np.ix_` resize, as the program did before its stages took batches.
+The three directional-feature oracles are Sobel by one GEMM over a
 sliding-window view, and gradient and HoG planes voted into a full float64
-plane volume, orders of arithmetic the extractors must match bit for bit.
+plane volume. Each is an order of arithmetic the program must match bit for
+bit.
 """
 
 import math
@@ -14,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from hccr.directional_features import (HOG_BINS, HOG_CELL, chaincode_decompose,
                                        sobel_gradients)
+from hccr.pipeline_data import Dataset, Sample
 
 
 def conv2d_ref(x, w, b, stride=1, pad=0):
@@ -117,6 +121,50 @@ def matmul_ref(x, w, b):
                 acc += x[ni, di] * w[ti, di]
             out[ni, ti] = acc + b[ti]
     return out
+
+
+def resize_bilinear_ref(image, target):
+    """One 2-d image resized by four `np.ix_` gathers; same size is a copy."""
+    image = np.asarray(image, dtype=np.float32)
+    h, w = image.shape
+    if (h, w) == (target, target):
+        return image.copy()
+
+    def positions(extent):
+        if target == 1:
+            return np.array([(extent - 1) / 2.0])
+        return np.arange(target) * (extent - 1) / (target - 1)
+
+    ys, xs = positions(h), positions(w)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None]
+    wx = (xs - x0)[None, :]
+    out = ((1 - wy) * (1 - wx) * image[np.ix_(y0, x0)] +
+           (1 - wy) * wx * image[np.ix_(y0, x1)] +
+           wy * (1 - wx) * image[np.ix_(y1, x0)] +
+           wy * wx * image[np.ix_(y1, x1)])
+    return out.astype(np.float32)
+
+
+def center_pad_ref(image, mask):
+    h, w = image.shape
+    out = np.zeros((mask, mask), dtype=np.float32)
+    my, mx = (mask - h) // 2, (mask - w) // 2
+    out[my:my + h, mx:mx + w] = image
+    return out
+
+
+def preprocess_ref(dataset, spec):
+    """Invert, resize and center-pad each sample on its own, in order."""
+    samples = []
+    for sample in dataset.samples:
+        image = 1.0 - np.asarray(sample.image, dtype=np.float32)
+        image = center_pad_ref(resize_bilinear_ref(image, spec.target), spec.mask)
+        samples.append(Sample(image, sample.label))
+    return Dataset(samples, dataset.class_names)
 
 
 SOBEL = np.array([[[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]],       # x

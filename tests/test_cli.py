@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hccr.cli import main
+from hccr.directional_features import stack_input
 from hccr.network_builder import build_net, init_weights
 from hccr.pipeline_data import Dataset, Sample, load_image_dir, load_gnt, write_gnt
 from hccr.tensor_core import read_dtns
@@ -403,6 +404,22 @@ def test_extract_escapes_tags_that_are_not_file_names(tmp_path):
                  "--out", str(out)]) == 0
     assert sorted(p.name for p in out.glob("*.dtns")) == [
         "00000_a%2F.dtns", "00001_b%25.dtns", "00002_%00c.dtns"]
+
+
+def test_extract_alternating_shapes_keep_their_indices(tmp_path):
+    """Each tensor is its own sample's stack, however the shapes interleave."""
+    rng = np.random.default_rng(3)
+    shapes = [(12, 12), (10, 14), (12, 12), (12, 12), (10, 14), (10, 14), (12, 12)]
+    write_gnt(Dataset([Sample(rng.random(shape), i % 2) for i, shape in enumerate(shapes)],
+                      ("AA", "AB")), tmp_path / "mixed.gnt")
+    out = tmp_path / "ex"
+    assert main(["extract", "--gnt", str(tmp_path / "mixed.gnt"), "--mode",
+                 "original+gradient", "--out", str(out)]) == 0
+    samples = load_gnt(tmp_path / "mixed.gnt").samples
+    for index, sample in enumerate(samples):
+        planes = read_dtns(out / f"{index:05d}_{('AA', 'AB')[sample.label]}.dtns")
+        want = stack_input(sample.image, "original+gradient").planes
+        assert planes.tobytes() == want.tobytes() and planes.shape == want.shape
 
 
 def test_train_log_deterministic_across_runs(data_dir, tmp_path, capsys):

@@ -6,6 +6,8 @@ import struct
 import numpy as np
 import pytest
 
+from naive_ref import preprocess_ref
+
 from hccr.pipeline_data import (
     PREPROC_PRESETS,
     Dataset,
@@ -16,6 +18,7 @@ from hccr.pipeline_data import (
     load_gnt,
     load_image_dir,
     preprocess,
+    preprocess_dataset,
     read_pgm,
     resize_bilinear,
     shuffle_split,
@@ -23,6 +26,7 @@ from hccr.pipeline_data import (
     write_gnt,
     write_pgm,
 )
+from hccr.tensor_core import ShapeError
 
 CHECKER_4X4 = np.array([
     [0, 1 / 3, 2 / 3, 1],
@@ -86,6 +90,8 @@ def test_resize_squares_nonsquare_input():
 def test_resize_rejects_bad_target():
     with pytest.raises(ValueError):
         resize_bilinear(np.zeros((4, 4), dtype=np.float32), 0)
+    with pytest.raises(ShapeError):
+        resize_bilinear(np.zeros(4, dtype=np.float32), 4)
 
 
 def test_resize_corner_alignment():
@@ -125,6 +131,8 @@ def test_center_pad_identity_and_errors():
         center_pad(image, 5)
     with pytest.raises(ValueError):
         center_pad(image, 7)
+    with pytest.raises(ValueError):
+        center_pad(np.stack([image, image]), 7)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +176,33 @@ def test_preprocess_deterministic():
     np.testing.assert_array_equal(a.image, b.image)
 
 
+def mixed_shape_dataset():
+    """Runs of one shape, some longer than 32, among 1xN, Nx1 and images
+    already at a preset's target size; every image differs."""
+    rng = np.random.default_rng(12)
+    shapes = [(1, 9), (9, 1), (28, 28), (1, 1), (26, 26), (37, 61), (112, 112),
+              (108, 108), (28, 28), (9, 1)]
+    samples = [Sample(rng.random(shape, dtype=np.float32), int(rng.integers(3)))
+               for shape, count in zip(shapes, [1, 3, 40, 2, 1, 33, 5, 2, 1, 4])
+               for _ in range(count)]
+    return Dataset(samples, ("a", "b", "c"))
+
+
+def test_preprocess_matches_per_image_reference():
+    datasets = [synth_glyphs(10, 200, noise=0.1, seed=0), mixed_shape_dataset()]
+    for spec in PREPROC_PRESETS.values():
+        for dataset in datasets:
+            got, want = preprocess_dataset(dataset, spec), preprocess_ref(dataset, spec)
+            assert got.class_names == dataset.class_names
+            assert [s.label for s in got.samples] == [s.label for s in dataset.samples]
+            assert [s.image.tobytes() for s in got.samples] == [
+                s.image.tobytes() for s in want.samples]
+            assert all(s.image.shape == (spec.mask, spec.mask) and
+                       s.image.dtype == np.float32 for s in got.samples)
+            for sample, ref in zip(dataset.samples[::7], want.samples[::7]):
+                assert preprocess(sample, spec).image.tobytes() == ref.image.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # GNT records
 
@@ -185,8 +220,9 @@ def test_load_gnt_hand_built_record(tmp_path):
     sample = ds.samples[0]
     assert sample.image.shape == (3, 2)
     assert sample.label == 0
-    np.testing.assert_allclose(sample.image,
-                               np.arange(6).reshape(3, 2) / 255.0, atol=1e-7)
+    np.testing.assert_array_equal(
+        sample.image, np.arange(6, dtype=np.uint8).reshape(3, 2) / np.float32(255))
+    assert sample.image.dtype == np.float32
 
 
 def test_load_gnt_empty_file(tmp_path):
@@ -279,6 +315,8 @@ def test_pgm_comment_and_maxval(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment\n2 1\n100\n" + bytes([50, 100]))
     np.testing.assert_allclose(read_pgm(path), [[0.5, 1.0]], atol=1e-7)
+    path.write_bytes(b"P5 2#c\n1#\n100\n" + bytes([50, 100]))   # comments after fields
+    np.testing.assert_allclose(read_pgm(path), [[0.5, 1.0]], atol=1e-7)
 
 
 def test_pgm_rejects_bad_files(tmp_path):
@@ -303,6 +341,11 @@ def test_pgm_rejects_bad_files(tmp_path):
         empty.write_bytes(b"P5\n" + extent + b"\n255\n")
         with pytest.raises(ValueError, match="empty"):
             read_pgm(empty)
+    for header in (b"P52 1\n255\n", b"P5\n+2 1\n255\n", b"P5\n2 1\n2_55\n"):
+        fused = tmp_path / "fused.pgm"     # magic run into a field, or no decimal field
+        fused.write_bytes(header + bytes(2))
+        with pytest.raises(ValueError, match="not a P5 image"):
+            read_pgm(fused)
 
 
 def build_image_dir(root, per_class=2):

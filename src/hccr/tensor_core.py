@@ -8,11 +8,12 @@ features [D, N], logits [T, N]. That is the layout of im2col-lowered
 convolution: a conv is one GEMM whose product is already the next layer's
 input, and a 1x1 stride-1 conv needs no unfold at all. An unfold above
 _COLS_BYTES runs as one GEMM per block of output rows, equal to one GEMM
-within rounding (see _conv). Windows pay for no np.pad: a padded copy is
-np.full plus one slice assignment, and max pooling reads its input in
-place, forward and backward. NCHW exists only at the network
-input and in the public conv2d and maxpool2d, which transpose around the
-same kernels and serve only the acceptance oracles.
+within rounding (see _conv); an unblocked unfold is kept for the taped
+backward's dW until the tape replays it. Windows pay for no np.pad: a
+padded copy is np.full plus one slice assignment, and max pooling reads its
+input in place, forward and backward. NCHW exists only at the network input
+and in the public conv2d and maxpool2d, which transpose around the same
+kernels and serve only the acceptance oracles.
 """
 
 import math
@@ -83,7 +84,8 @@ def _conv(x, w, b, stride=1, pad=0):
     whose unfold fits _COLS_BYTES, unfolded into one reused buffer; a shorter
     tail joins the last block. Blocks end on whole 8-column tiles. OpenBLAS
     picks its kernel by matrix size, so a block may round unlike one GEMM:
-    within (K + 2) eps |w| |x|, and bit for bit on the benchmark's shapes."""
+    within (K + 2) eps |w| |x|, and bit for bit on the benchmark's shapes.
+    Returns (output, the unfold, or None if it ran in blocks)."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and weights, got {x.shape} and {w.shape}")
     c, h, wd, n = x.shape
@@ -105,18 +107,20 @@ def _conv(x, w, b, stride=1, pad=0):
         cols = _unfold(xp, kh, kw, stride, r0, r1, wo, buf)
         np.matmul(wm, cols, out=out[:, r0:r1].reshape(f, -1))
     out += b[:, None, None, None]
-    return out
+    return out, cols if buf is None else None
 
 
-def _conv_backward(g, x, w, stride, pad, need_dx=True):
+def _conv_backward(g, x, w, stride, pad, need_dx=True, cols=None):
     """Gradients of _conv w.r.t. (input, weights, bias) given upstream
-    g[F, Ho, Wo, N], unfolding x again; the input's is None, and costs
-    nothing, unless need_dx."""
+    g[F, Ho, Wo, N]; dW reads the forward's `cols`, or unfolds x again if
+    there are none. The input's is None, and costs nothing, unless need_dx."""
     c, h, wd, n = x.shape
     f, _, kh, kw = w.shape
     ho, wo = g.shape[1], g.shape[2]
     gm = g.reshape(f, -1)
-    dw = (gm @ _unfold(_padded(x, pad), kh, kw, stride, 0, ho, wo).T).reshape(w.shape)
+    if cols is None:
+        cols = _unfold(_padded(x, pad), kh, kw, stride, 0, ho, wo)
+    dw = (gm @ cols.T).reshape(w.shape)
     db = gm.sum(axis=1)
     if not need_dx:
         return None, dw, db
@@ -143,7 +147,7 @@ def conv2d(x, w, b, stride=1, pad=0):
     map. No kernel flip; the GEMM's inner dimension runs channel-major then
     kernel rows then columns, so results are reproducible bit for bit.
     """
-    return _conv(_to_last(x), w, b, stride, pad).transpose(3, 0, 1, 2).copy()
+    return _conv(_to_last(x), w, b, stride, pad)[0].transpose(3, 0, 1, 2).copy()
 
 
 def _in_range(i, stride, pad, extent, size):
@@ -316,7 +320,8 @@ class Tape:
         return output
 
     def backward(self):
-        """Seed the last recorded output with ones; propagate in reverse order."""
+        """Seed the last recorded output with ones; propagate in reverse order,
+        releasing each record, and the unfold or activation it saved, as it replays."""
         if self._consumed:
             raise RuntimeError("tape already replayed; run a new forward pass first")
         if not self._records:
@@ -324,7 +329,8 @@ class Tape:
         self._consumed = True
         out = self._records[-1][0]
         out.grad = np.ones_like(out.value)
-        for output, backward in reversed(self._records):
+        while self._records:
+            output, backward = self._records.pop()
             g = output.grad
             if g is None:
                 continue
@@ -341,11 +347,12 @@ def _record(tape, name, inputs, output, backward):
 
 
 def conv2d_taped(tape, x, w, b, stride=1, pad=0):
-    out = Node(_conv(x.value, w.value, b.value, stride, pad))
+    y, cols = _conv(x.value, w.value, b.value, stride, pad)
+    out = Node(y)
     need_dx = tape is not None and x not in tape.inputs  # no tape in the closure
 
-    def backward(g):
-        dx, dw, db = _conv_backward(g, x.value, w.value, stride, pad, need_dx)
+    def backward(g):    # only a tape holds it, so with none cols dies on return
+        dx, dw, db = _conv_backward(g, x.value, w.value, stride, pad, need_dx, cols)
         grads = [(w, dw), (b, db)]
         return grads if dx is None else [(x, dx)] + grads
 

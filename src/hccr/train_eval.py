@@ -170,18 +170,16 @@ class EvalReport:
     serialized_bytes: int
 
 
-def rank_classes(probs):
-    """Class indices best-first; equal probabilities keep lower index first."""
-    return np.argsort(-probs, axis=1, kind="stable")
-
-
 def evaluate_topk(spec, params, dataset, mode="original", batch_size=128):
     """Top-k accuracies for each k of TOPK up to the class count, mean loss and sizes."""
     labels = dataset.labels()
     probs = predict(spec, params, [s.image for s in dataset.samples], mode, batch_size)
-    at_label = rank_classes(probs) == labels[:, None]    # where each label ranks
-    n = len(labels)
-    topk = {k: 100.0 * int(at_label[:, :k].sum()) / n
+    # each label's place in a stable best-first argsort (NaNs last), by counting
+    n, p = len(labels), probs[np.arange(len(labels)), labels][:, None]
+    lower = np.arange(probs.shape[1]) < labels[:, None]
+    rank = ((probs > p) | (probs == p) & lower
+            | np.isnan(p) & (lower | ~np.isnan(probs))).sum(axis=1)
+    topk = {k: 100.0 * int((rank < k).sum()) / n
             for k in TOPK if k <= spec.class_count}
     return EvalReport(topk, tc.cross_entropy(probs, labels), n,
                       count_parameters(spec), model_bytes(spec))

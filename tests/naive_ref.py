@@ -7,7 +7,7 @@ the exception. The preprocessing oracle runs one image at a time, with a
 The three directional-feature oracles are Sobel by one GEMM over a
 sliding-window view, and gradient and HoG planes voted into a full float64
 plane volume. Each is an order of arithmetic the program must match bit for
-bit.
+bit. The top-k oracle ranks classes by a stable argsort of every row.
 """
 
 import math
@@ -121,6 +121,12 @@ def matmul_ref(x, w, b):
                 acc += x[ni, di] * w[ti, di]
             out[ni, ti] = acc + b[ti]
     return out
+
+
+def rank_classes(probs):
+    """Class indices best-first; equal probabilities keep lower index first,
+    and NaNs go last in index order."""
+    return np.argsort(-probs, axis=1, kind="stable")
 
 
 def resize_bilinear_ref(image, target):

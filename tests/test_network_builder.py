@@ -1,5 +1,7 @@
 """Tests for network assembly: topology math, counting, forward execution."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -485,9 +487,9 @@ def test_loss_and_grads_computes_no_input_gradient(monkeypatch):
     backward = tc._conv_backward
     calls = []
 
-    def spy(g, xv, w, stride, pad, need_dx=True):
+    def spy(g, xv, w, stride, pad, need_dx=True, cols=None):
         calls.append((w is params["00_conv.w"], need_dx))      # the stem
-        return backward(g, xv, w, stride, pad, need_dx)
+        return backward(g, xv, w, stride, pad, need_dx, cols)
 
     monkeypatch.setattr(tc, "_conv_backward", spy)
     loss, _, grads = loss_and_grads(spec, params, x, labels, np.random.default_rng(1))
@@ -495,12 +497,52 @@ def test_loss_and_grads_computes_no_input_gradient(monkeypatch):
     assert all(need for is_stem, need in calls if not is_stem)
     # every conv computing dx, the input's included, gives the same gradients
     monkeypatch.setattr(tc, "_conv_backward",
-                        lambda g, xv, w, stride, pad, need_dx: backward(g, xv, w, stride, pad))
+                        lambda g, xv, w, stride, pad, need_dx, cols:
+                        backward(g, xv, w, stride, pad, cols=cols))
     loss_dx, _, grads_dx = loss_and_grads(spec, params, x, labels,
                                           np.random.default_rng(1))
     assert loss == loss_dx
     for name in params.keys():
         np.testing.assert_array_equal(grads[name], grads_dx[name])
+
+
+# 9 input planes make alexnet-small's 7x7 stem unfold 28.9 MB at batch 64,
+# above _COLS_BYTES: it runs in blocks and keeps nothing
+@pytest.mark.parametrize("net,channels,blocked", [("googlenet-small", 1, 0),
+                                                  ("alexnet-small", 9, 1)])
+def test_kept_unfold_gives_the_bits_of_unfolding_again(monkeypatch, net, channels, blocked):
+    """dW read from the forward's unfold equals dW from a second unfold, for
+    the loss, the probabilities and every gradient of a batch-64 step."""
+    spec = build_net(net, 10, channels)
+    params = init_weights(spec, seed=6)
+    x = np.random.default_rng(7).random((64, *spec.input_shape), dtype=np.float32)
+    labels = np.random.default_rng(8).integers(0, 10, 64)
+    unfolds, unfold, conv, kept_cols = [], tc._unfold, tc._conv, []
+    monkeypatch.setattr(tc, "_unfold", lambda *a: unfolds.append(a) or unfold(*a))
+    monkeypatch.setattr(tc, "_conv", lambda *a: kept_cols.append((r := conv(*a))[1] is not None) or r)
+    kept = loss_and_grads(spec, params, x, labels, np.random.default_rng(1))
+    kept_unfolds = len(unfolds)
+    monkeypatch.setattr(tc, "_conv", lambda *a: (conv(*a)[0], None))   # keep nothing
+    again = loss_and_grads(spec, params, x, labels, np.random.default_rng(1))
+    # each conv that ran as one GEMM saves its backward one unfold
+    assert kept_cols.count(False) == blocked
+    assert len(unfolds) - kept_unfolds == kept_unfolds + kept_cols.count(True)
+    assert kept[0] == again[0]
+    np.testing.assert_array_equal(kept[1], again[1])
+    assert set(kept[2].keys()) == set(again[2].keys()) == set(params.keys())
+    for name in params.keys():
+        np.testing.assert_array_equal(kept[2][name], again[2][name])
+
+
+def test_forward_net_keeps_no_unfold(monkeypatch):
+    """With no tape nothing holds a conv's unfold once its GEMM is done."""
+    spec = build_net("googlenet-small", 10, 1)
+    params = init_weights(spec, seed=6)
+    x = np.random.default_rng(7).random((8, *spec.input_shape), dtype=np.float32)
+    kept, unfold = [], tc._unfold
+    monkeypatch.setattr(tc, "_unfold", lambda *a: kept.append(weakref.ref(r := unfold(*a))) or r)
+    forward_net(spec, params, x)
+    assert kept and all(ref() is None for ref in kept)
 
 
 def test_final_fc_bias_gradient_is_mean_residual():

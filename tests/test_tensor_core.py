@@ -70,7 +70,7 @@ def test_batch_last_conv_and_backward_match_loop_references(kernel, stride, pad,
     x = rng.standard_normal((2, c, kernel + 2, kernel + 3))
     w = rng.standard_normal((3, c, kernel, kernel))
     b = rng.standard_normal(3)
-    out = tc._conv(last(x), w, b, stride, pad)
+    out = tc._conv(last(x), w, b, stride, pad)[0]
     np.testing.assert_allclose(first(out), conv2d_ref(x, w, b, stride, pad), atol=1e-10)
     g = rng.standard_normal(out.shape)
     dx, dw, db = tc._conv_backward(g, last(x), w, stride, pad)
@@ -90,16 +90,52 @@ def test_conv_in_row_blocks_equals_one_gemm(monkeypatch, dtype):
     x = rng.standard_normal((3, 25, 13, 4)).astype(dtype)
     w = rng.standard_normal((5, 3, 3, 3)).astype(dtype)
     b = rng.standard_normal(5).astype(dtype)
-    whole = tc._conv(x, w, b, stride=2, pad=1)
+    whole = tc._conv(x, w, b, stride=2, pad=1)[0]
     rows, unfold = [], tc._unfold
     monkeypatch.setattr(tc, "_unfold", lambda *a: rows.append(a[4:6]) or unfold(*a))
     monkeypatch.setattr(tc, "_COLS_BYTES", 5 * 27 * 7 * 4 * x.itemsize)
-    blocked = tc._conv(x, w, b, stride=2, pad=1)
-    assert rows == [(0, 4), (4, 8), (8, 13)]
+    blocked, cols = tc._conv(x, w, b, stride=2, pad=1)
+    assert rows == [(0, 4), (4, 8), (8, 13)] and cols is None
     assert blocked.dtype == dtype
     np.testing.assert_array_equal(blocked, whole)
     np.testing.assert_allclose(first(blocked), conv2d_ref(first(x), w, b, 2, 1),
                                rtol=0, atol=1e-4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel,stride,pad", [(1, 1, 0), (3, 1, 1), (5, 1, 2), (7, 2, 3)])
+def test_conv_backward_reads_the_kept_unfold_bit_for_bit(kernel, stride, pad, dtype):
+    # the network's windows: 1x1 projections, 3x3 and 5x5 inception branches, the stem
+    rng = np.random.default_rng([kernel, stride, pad])
+    x = rng.standard_normal((6, 15, 15, 16)).astype(dtype)
+    w = rng.standard_normal((8, 6, kernel, kernel)).astype(dtype)
+    out, cols = tc._conv(x, w, rng.standard_normal(8).astype(dtype), stride, pad)
+    assert cols is not None and np.shares_memory(cols, x) == (kernel == 1)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    for need_dx in (True, False):
+        kept = tc._conv_backward(g, x, w, stride, pad, need_dx, cols)
+        again = tc._conv_backward(g, x, w, stride, pad, need_dx)
+        assert (kept[0] is None) == (again[0] is None) == (not need_dx)
+        for a, b in zip(kept, again):
+            assert a is None or (a.dtype == dtype and a.tobytes() == b.tobytes())
+
+
+def test_blocked_conv_backward_unfolds_again(monkeypatch):
+    """A conv in row blocks keeps no unfold (its buffer holds only the last
+    block), so its taped backward unfolds x once more and gives the bits of
+    the unkept route."""
+    rng = np.random.default_rng(32)
+    x, w, b = rnd((3, 25, 13, 4), rng), rnd((5, 3, 3, 3), rng), rnd(5, rng)
+    monkeypatch.setattr(tc, "_COLS_BYTES", 5 * 27 * 7 * 4 * x.itemsize)
+    rows, unfold = [], tc._unfold
+    monkeypatch.setattr(tc, "_unfold", lambda *a: rows.append(a[4:6]) or unfold(*a))
+    tape, nodes = tc.Tape(), [tc.Node(v) for v in (x, w, b)]
+    out = tc.conv2d_taped(tape, *nodes, 2, 1)
+    tape.backward()
+    assert rows == [(0, 4), (4, 8), (8, 13), (0, 13)]      # three blocks, then dW's unfold
+    ones = np.ones_like(out.value)
+    for node, again in zip(nodes, tc._conv_backward(ones, x, w, 2, 1)):
+        assert node.grad.tobytes() == again.tobytes()
 
 
 @st.composite
@@ -135,11 +171,11 @@ def test_blocked_conv_matches_one_gemm_on_random_shapes(conv):
     blocks, unfold = [], tc._unfold
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tc, "_COLS_BYTES", 1 << 62)
-        whole = tc._conv(x, w, b, stride, pad)
-        scale = tc._conv(np.abs(x), np.abs(w), np.abs(b), stride, pad)
+        whole = tc._conv(x, w, b, stride, pad)[0]
+        scale = tc._conv(np.abs(x), np.abs(w), np.abs(b), stride, pad)[0]
         patch.setattr(tc, "_COLS_BYTES", budget)
         patch.setattr(tc, "_unfold", lambda *a: blocks.append(a[4:6]) or unfold(*a))
-        blocked = tc._conv(x, w, b, stride, pad)
+        blocked = tc._conv(x, w, b, stride, pad)[0]
     assert len(blocks) > 1 or kh * kw == stride == 1
     bound = (c * kh * kw + 2) * np.finfo(dtype).eps * scale
     assert (np.abs(blocked - whole) <= bound).all()
@@ -618,6 +654,25 @@ def test_tape_rejects_second_replay():
     tc.relu_taped(tape, x)
     tape.backward()
     with pytest.raises(RuntimeError):
+        tape.backward()
+
+
+def test_tape_releases_each_kept_unfold_as_it_replays(monkeypatch):
+    """The forward's unfolds live exactly until the tape replays their conv:
+    the tape itself is still alive after backward, and still refuses a
+    second replay."""
+    rng = np.random.default_rng(8)
+    kept, unfold = [], tc._unfold
+    monkeypatch.setattr(tc, "_unfold", lambda *a: kept.append(weakref.ref(r := unfold(*a))) or r)
+    tape = tc.Tape()
+    h = tc.Node(rnd((3, 8, 8, 4), rng))
+    for kernel, pad in ((3, 1), (1, 0), (5, 2)):
+        w = tc.Node(rnd((3, 3, kernel, kernel), rng))
+        h = tc.relu_taped(tape, tc.conv2d_taped(tape, h, w, tc.Node(rnd(3, rng)), 1, pad))
+    assert len(kept) == 3 and all(ref() is not None for ref in kept)
+    tape.backward()
+    assert len(kept) == 3 and all(ref() is None for ref in kept)
+    with pytest.raises(RuntimeError, match="already replayed"):
         tape.backward()
 
 

@@ -21,13 +21,16 @@ from hccr.network_builder import (
 )
 from hccr.pipeline_data import (
     PREPROC_PRESETS,
+    Dataset,
     PreprocSpec,
+    Sample,
     preprocess_dataset,
     shuffle_split,
     synth_glyphs,
 )
 from hccr.train_eval import (
     LR_DECAY,
+    TOPK,
     EvalReport,
     TrainConfig,
     TrainLogEntry,
@@ -37,7 +40,6 @@ from hccr.train_eval import (
     load_model,
     model_bytes,
     predict,
-    rank_classes,
     relative_error_reduction,
     report_keyvalues,
     save_model,
@@ -45,6 +47,8 @@ from hccr.train_eval import (
 )
 from hccr.directional_features import stack_batch
 from hccr.network_builder import forward_net
+
+from naive_ref import rank_classes
 
 # Error-rate reductions implied by accuracy pairs (94.77, 96.74) etc.,
 # frozen from hand arithmetic: (baseline_err - new_err) / baseline_err.
@@ -189,12 +193,38 @@ def test_log_formatting():
 # ---------------------------------------------------------------------------
 # evaluation
 
-def test_rank_classes_breaks_ties_low_first():
+def test_rank_classes_breaks_ties_low_first(monkeypatch):
+    """evaluate_topk counts each label's rank; it must equal the label's place
+    in the stable argsort oracle, on tied, random and NaN rows, for every k."""
     probs = np.array([[0.2, 0.5, 0.2, 0.1],
                       [0.25, 0.25, 0.25, 0.25]], dtype=np.float32)
     ranked = rank_classes(probs)
     assert ranked[0].tolist() == [1, 0, 2, 3]
     assert ranked[1].tolist() == [0, 1, 2, 3]
+    t, rng = 12, np.random.default_rng(5)
+    rows = [np.full(t, 1 / t), rng.random(t), rng.integers(0, 3, t) / 4]   # tied, random, ties
+    for nans in ([0], [3], [11], [2, 7], [4, 5, 6], list(range(t))):
+        row = rng.integers(0, 4, t) / 4
+        row[nans] = np.nan
+        rows.append(row)
+    # every row with every label: the label in and out of ties and NaNs
+    probs = np.repeat(np.array(rows, np.float32), t, axis=0)
+    labels = np.tile(np.arange(t), len(rows))
+    monkeypatch.setattr(train_eval, "predict", lambda *args: probs)
+    images = np.zeros((len(labels), 16, 16), np.float32)
+    data = Dataset([Sample(im, int(lab)) for im, lab in zip(images, labels)],
+                   tuple(map(str, range(t))))
+    report = evaluate_topk(mini_spec(classes=t), None, data)
+    at = np.argmax(rank_classes(probs) == labels[:, None], axis=1)    # oracle ranks
+    assert list(report.topk) == list(TOPK)
+    for k in TOPK:
+        assert report.topk[k] == 100.0 * int((at < k).sum()) / len(labels)
+    # one row at a time, so each label's rank, not only the counts, must agree
+    for row, label, rank in zip(probs, labels, at):
+        monkeypatch.setattr(train_eval, "predict", lambda *args: row[None])
+        one = evaluate_topk(mini_spec(classes=t), None, Dataset(
+            [Sample(images[0], int(label))], data.class_names))
+        assert one.topk == {k: 100.0 * (rank < k) for k in TOPK}
 
 
 def test_topk_monotone_and_capped_at_class_count(glyph_splits):

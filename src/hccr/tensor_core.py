@@ -6,10 +6,11 @@ checking gets its extra headroom. Every tensor in the network is
 features-first and batch-last: images [C, H, W, N] row-major, flat
 features [D, N], logits [T, N]. That is the layout of im2col-lowered
 convolution: a conv is one GEMM whose product is already the next layer's
-input, and a 1x1 stride-1 conv needs no unfold at all. An unfold above
-_COLS_BYTES runs as one GEMM per block of output rows, equal to one GEMM
-within rounding (see _conv); an unblocked unfold is kept for the taped
-backward's dW until the tape replays it. Windows pay for no np.pad: a
+input, and a 1x1 stride-1 conv needs no unfold at all. A taped conv whose
+unfold fits _COLS_BYTES runs as one GEMM and keeps its unfold for the
+backward's dW until the tape replays it; every other conv runs one GEMM per
+cache-sized block of output rows, or of one row's columns, equal to one GEMM
+within rounding (see _conv). Windows pay for no np.pad: a
 padded copy is np.full plus one slice assignment, and max pooling reads its
 input in place, forward and backward. NCHW exists only at the network input
 and in the public conv2d and maxpool2d, which transpose around the same
@@ -26,6 +27,11 @@ FLOAT = np.float32
 
 DTNS_MAGIC = b"DTNS"
 _COLS_BYTES = 8 << 20       # most bytes of one im2col block (see _conv)
+# most unfold bytes per filter of a block no tape keeps: the GEMM does 2F flops per
+# unfolded element, so a small-F block must stay in L2. On a 2-vCPU Xeon (2 MiB L2
+# per core) the F = 8 stem of batch-128 9-plane googlenet-small took 14 ms at
+# F x 64 KiB against 22 ms at 8 MiB; googlenet-full's convs timed equal
+_FILTER_COLS_BYTES = 64 << 10
 
 
 class ShapeError(ValueError):
@@ -64,28 +70,41 @@ def _padded(x, pad, fill=0):
     return xp
 
 
-def _unfold(xp, kh, kw, stride, r0, r1, wo, buf=None):
-    """cols[C*kh*kw, (r1-r0)*Wo*N] of output rows r0:r1 of a padded xp[C, H, W, N],
-    one slice copy per kernel cell, into `buf` if given; a 1x1 stride-1 conv reads xp."""
+def _unfold(xp, kh, kw, stride, rows, columns, buf=None):
+    """cols[C*kh*kw, R*W*N] of output rows r0:r1 and columns w0:w1 of a padded
+    xp[C, H, W, N]: one strided view of every window, copied once, into `buf`
+    if given; a 1x1 stride-1 conv reads xp."""
+    (r0, r1), (w0, w1) = rows, columns
     c, n = xp.shape[0], xp.shape[3]
-    band = xp[:, stride * r0:stride * (r1 - 1) + kh]
     if kh * kw == stride == 1:
-        return band.reshape(c, -1)
-    shape = (c, kh * kw, r1 - r0, wo, n)
+        return xp[:, r0:r1, w0:w1].reshape(c, -1)
+    sc, sh, sw, sn = xp.strides
+    shape = (c, kh, kw, r1 - r0, w1 - w0, n)
     cols = np.empty(shape, xp.dtype) if buf is None else buf[:math.prod(shape)].reshape(shape)
-    for k, s in enumerate(_cells(kh, kw, stride, r1 - r0, wo)):
-        cols[:, k] = band[s]
+    np.copyto(cols, np.lib.stride_tricks.as_strided(
+        xp[:, stride * r0:, stride * w0:], shape, (sc, sh, sw, stride * sh, stride * sw, sn)))
     return cols.reshape(c * kh * kw, -1)
 
 
-def _conv(x, w, b, stride=1, pad=0):
-    """conv2d of batch-last x[C, H, W, N]: the GEMM w[F, C*kh*kw] @ cols
-    is already the output [F, Ho, Wo, N], one GEMM per block of output rows
-    whose unfold fits _COLS_BYTES, unfolded into one reused buffer; a shorter
-    tail joins the last block. Blocks end on whole 8-column tiles. OpenBLAS
+def _ranges(size, step):
+    """(start, stop) of consecutive `step`-long ranges over 0:size; a shorter
+    tail joins the last range."""
+    edges = [*range(0, max(size - step, 0) + 1, step), size]
+    return list(zip(edges, edges[1:]))
+
+
+def _conv(x, w, b, stride=1, pad=0, keep=False):
+    """conv2d of batch-last x[C, H, W, N]: the GEMM w[F, K] @ cols, K = C*kh*kw,
+    is already the output [F, Ho, Wo, N]. With `keep` (a tape's backward will
+    read the unfold) an unfold that fits _COLS_BYTES runs as one GEMM and is
+    returned. Every other conv runs one GEMM per block of at most
+    min(_COLS_BYTES, F * _FILTER_COLS_BYTES) of unfold, unfolded into one reused
+    buffer and written into its view of the output: whole output rows, or
+    column ranges of one row when a row is larger. Blocks end on whole
+    8-column tiles, and a shorter tail joins the block before it. OpenBLAS
     picks its kernel by matrix size, so a block may round unlike one GEMM:
-    within (K + 2) eps |w| |x|, and bit for bit on the benchmark's shapes.
-    Returns (output, the unfold, or None if it ran in blocks)."""
+    within (K + 2) eps |w| |x|, and bit for bit on the benchmark's float32
+    shapes. Returns (output, the kept unfold or None)."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and weights, got {x.shape} and {w.shape}")
     c, h, wd, n = x.shape
@@ -97,17 +116,28 @@ def _conv(x, w, b, stride=1, pad=0):
     ho = conv_output_extent(h, kh, stride, pad)
     wo = conv_output_extent(wd, kw, stride, pad)
     wm, xp = w.reshape(f, -1), _padded(x, pad)
+    k = wm.shape[1]
+    budget = _COLS_BYTES if keep and k * ho * wo * n * x.itemsize <= _COLS_BYTES else min(
+        _COLS_BYTES, f * _FILTER_COLS_BYTES)
+    span = budget // (k * x.itemsize)                   # GEMM columns a block holds
     tile = 8 // math.gcd(wo * n, 8)         # output rows per whole 8-column tile
-    step = ho if kh * kw == stride == 1 else max(
-        tile, _COLS_BYTES // (wm.shape[1] * wo * n * x.itemsize) // tile * tile)
-    edges = [*range(0, max(ho - step, 0) + 1, step), ho]
-    buf = np.empty(wm.shape[1] * wo * n * (ho - edges[-2]), x.dtype) if len(edges) > 2 else None
+    rows = span // (wo * n) // tile * tile
+    if kh * kw == stride == 1 or ho * wo * n <= span:
+        blocks = [((0, ho), (0, wo))]
+    elif rows:
+        blocks = [(r, (0, wo)) for r in _ranges(ho, rows)]
+    else:                                   # one output row is larger than the budget
+        tile = 8 // math.gcd(n, 8)          # output columns per whole 8-column tile
+        blocks = [((r, r + 1), cs) for r in range(ho)
+                  for cs in _ranges(wo, max(tile, span // n // tile * tile))]
+    (r0, r1), (w0, w1) = blocks[-1]         # the largest block: a tail joins it
+    buf = np.empty(k * (r1 - r0) * (w1 - w0) * n, x.dtype) if len(blocks) > 1 else None
     out = np.empty((f, ho, wo, n), np.result_type(wm, x))
-    for r0, r1 in zip(edges, edges[1:]):
-        cols = _unfold(xp, kh, kw, stride, r0, r1, wo, buf)
-        np.matmul(wm, cols, out=out[:, r0:r1].reshape(f, -1))
+    for (r0, r1), (w0, w1) in blocks:
+        cols = _unfold(xp, kh, kw, stride, (r0, r1), (w0, w1), buf)
+        np.matmul(wm, cols, out=out[:, r0:r1, w0:w1].reshape(f, -1))
     out += b[:, None, None, None]
-    return out, cols if buf is None else None
+    return out, cols if keep and buf is None else None
 
 
 def _conv_backward(g, x, w, stride, pad, need_dx=True, cols=None):
@@ -119,7 +149,7 @@ def _conv_backward(g, x, w, stride, pad, need_dx=True, cols=None):
     ho, wo = g.shape[1], g.shape[2]
     gm = g.reshape(f, -1)
     if cols is None:
-        cols = _unfold(_padded(x, pad), kh, kw, stride, 0, ho, wo)
+        cols = _unfold(_padded(x, pad), kh, kw, stride, (0, ho), (0, wo))
     dw = (gm @ cols.T).reshape(w.shape)
     db = gm.sum(axis=1)
     if not need_dx:
@@ -347,7 +377,7 @@ def _record(tape, name, inputs, output, backward):
 
 
 def conv2d_taped(tape, x, w, b, stride=1, pad=0):
-    y, cols = _conv(x.value, w.value, b.value, stride, pad)
+    y, cols = _conv(x.value, w.value, b.value, stride, pad, tape is not None)
     out = Node(y)
     need_dx = tape is not None and x not in tape.inputs  # no tape in the closure
 

@@ -1,13 +1,16 @@
 """Naive loop-based reference implementations.
 
 Deliberately slow and independent of the vectorized kernels: plain Python
-loops only, so they can serve as oracles. The four oracles at the end are
-the exception. The preprocessing oracle runs one image at a time, with a
-2-d `np.ix_` resize, as the program did before its stages took batches.
+loops only, so they can serve as oracles. The oracles from the top-k
+ranking on are the exception. The preprocessing oracle runs one image at
+a time, with a 2-d `np.ix_` resize, as the program did before its stages
+took batches.
 The three directional-feature oracles are Sobel by one GEMM over a
 sliding-window view, and gradient and HoG planes voted into a full float64
 plane volume. Each is an order of arithmetic the program must match bit for
-bit. The top-k oracle ranks classes by a stable argsort of every row.
+bit. The top-k oracle ranks classes by a stable argsort of every row. The
+unfold oracle copies one strided slice per kernel cell, as the program's
+im2col did before it became one strided copy.
 """
 
 import math
@@ -215,3 +218,16 @@ def hog_cell_histograms_ref(images):
     np.put_along_axis(votes, (k0 + 1) % HOG_BINS, frac * m[..., None, :, :], axis=-3)
     hc, wc = votes.shape[-2] // cs, votes.shape[-1] // cs
     return votes.reshape(votes.shape[:-2] + (hc, cs, wc, cs)).sum(axis=(-3, -1))
+
+
+def unfold_ref(xp, kh, kw, stride, rows, columns):
+    """cols[C*kh*kw, R*W*N] of output rows r0:r1 and columns w0:w1 of a padded
+    batch-last xp[C, H, W, N]: one strided slice copy per kernel cell."""
+    (r0, r1), (w0, w1) = rows, columns
+    c, n = xp.shape[0], xp.shape[3]
+    cols = np.empty((c, kh * kw, r1 - r0, w1 - w0, n), xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i * kw + j] = xp[:, stride * r0 + i:stride * (r1 - 1) + i + 1:stride,
+                                     stride * w0 + j:stride * (w1 - 1) + j + 1:stride]
+    return cols.reshape(c * kh * kw, -1)

@@ -534,6 +534,21 @@ def test_kept_unfold_gives_the_bits_of_unfolding_again(monkeypatch, net, channel
         np.testing.assert_array_equal(kept[2][name], again[2][name])
 
 
+@pytest.mark.parametrize("net", ["googlenet-small", "alexnet-small"])
+@pytest.mark.parametrize("batch", [128, 47])
+def test_cache_sized_blocks_give_the_bits_of_one_gemm(monkeypatch, net, batch):
+    """float32 probabilities of a 9-plane forward in blocks of at most
+    F * _FILTER_COLS_BYTES equal those of one GEMM per conv, byte for byte."""
+    spec = build_net(net, 10, 9)
+    params = init_weights(spec, seed=6)
+    x = np.random.default_rng(7).random((batch, *spec.input_shape), dtype=np.float32)
+    blocked = forward_net(spec, params, x)[0]
+    monkeypatch.setattr(tc, "_COLS_BYTES", 1 << 62)
+    monkeypatch.setattr(tc, "_FILTER_COLS_BYTES", 1 << 62)
+    whole = forward_net(spec, params, x)[0]
+    assert blocked.dtype == np.float32 and blocked.tobytes() == whole.tobytes()
+
+
 def test_forward_net_keeps_no_unfold(monkeypatch):
     """With no tape nothing holds a conv's unfold once its GEMM is done."""
     spec = build_net("googlenet-small", 10, 1)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from hccr import network_builder as nb, tensor_core as tc
 
 from naive_ref import (conv2d_backward_ref, conv2d_ref, maxpool2d_backward_ref,
-                       maxpool2d_ref, matmul_ref)
+                       maxpool2d_ref, matmul_ref, unfold_ref)
 
 
 def rnd(shape, rng, dtype=np.float32):
@@ -83,23 +83,65 @@ def test_batch_last_conv_and_backward_match_loop_references(kernel, stride, pad,
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_in_row_blocks_equals_one_gemm(monkeypatch, dtype):
-    # stride 2, pad 1: 13 output rows of 7 x 4 columns; 5 rows fit the budget,
-    # rounded down to 4 so each block ends on a whole 8-column tile, and the
-    # 1-row tail joins the last block
+    # stride 2, pad 1: 13 output rows of 7 x 4 columns; F = 5 filters of 5 rows'
+    # unfold each fit the budget, rounded down to 4 rows so each block ends on a
+    # whole 8-column tile, and the 1-row tail joins the last block. A taped conv
+    # whose whole unfold fits _COLS_BYTES runs as one GEMM and keeps its unfold
     rng = np.random.default_rng(31)
     x = rng.standard_normal((3, 25, 13, 4)).astype(dtype)
     w = rng.standard_normal((5, 3, 3, 3)).astype(dtype)
     b = rng.standard_normal(5).astype(dtype)
-    whole = tc._conv(x, w, b, stride=2, pad=1)[0]
-    rows, unfold = [], tc._unfold
-    monkeypatch.setattr(tc, "_unfold", lambda *a: rows.append(a[4:6]) or unfold(*a))
-    monkeypatch.setattr(tc, "_COLS_BYTES", 5 * 27 * 7 * 4 * x.itemsize)
+    blocks, unfold = [], tc._unfold
+    monkeypatch.setattr(tc, "_unfold", lambda *a: blocks.append(a[4:6]) or unfold(*a))
+    monkeypatch.setattr(tc, "_FILTER_COLS_BYTES", 27 * 7 * 4 * x.itemsize)
+    whole, cols = tc._conv(x, w, b, stride=2, pad=1, keep=True)
+    assert blocks == [((0, 13), (0, 7))] and cols.shape == (27, 13 * 7 * 4)
+    blocks.clear()
     blocked, cols = tc._conv(x, w, b, stride=2, pad=1)
-    assert rows == [(0, 4), (4, 8), (8, 13)] and cols is None
+    assert blocks == [((0, 4), (0, 7)), ((4, 8), (0, 7)), ((8, 13), (0, 7))] and cols is None
     assert blocked.dtype == dtype
     np.testing.assert_array_equal(blocked, whole)
     np.testing.assert_allclose(first(blocked), conv2d_ref(first(x), w, b, 2, 1),
                                rtol=0, atol=1e-4)
+
+
+def test_stem_runs_in_column_blocks_within_the_filter_budget(monkeypatch):
+    """The 9-plane 7x7 stride-2 stem at batch 128 with F = 8: one output row
+    unfolds 3.6 MB, above min(_COLS_BYTES, F * _FILTER_COLS_BYTES), so each
+    row runs as 8 blocks of 2 columns (its bits: the property test below)."""
+    rng = np.random.default_rng(33)
+    x, w, b = rnd((9, 32, 32, 128), rng), rnd((8, 9, 7, 7), rng), rnd(8, rng)
+    blocks, unfold = [], tc._unfold
+    monkeypatch.setattr(tc, "_unfold", lambda *a: blocks.append(a[4:6]) or unfold(*a))
+    assert tc._conv(x, w, b, 2, 3)[1] is None
+    assert blocks == [((r, r + 1), (c, c + 2)) for r in range(16) for c in range(0, 16, 2)]
+    budget = min(tc._COLS_BYTES, 8 * tc._FILTER_COLS_BYTES)
+    assert all(441 * (r1 - r0) * (c1 - c0) * 128 * 4 <= budget for (r0, r1), (c0, c1) in blocks)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", range(1, 8))
+def test_unfold_is_the_per_cell_copy_byte_for_byte(kernel, dtype):
+    """One strided copy equals one slice copy per kernel cell, for whole
+    unfolds, row ranges and column ranges, into a fresh array or a buffer."""
+    rng = np.random.default_rng(kernel)
+    for stride in (1, 2, 3):
+        for pad in range(4):
+            kw = int(rng.integers(1, 8))
+            x = rng.standard_normal((2, kernel + int(rng.integers(0, 9)),
+                                     kw + int(rng.integers(0, 9)), 3)).astype(dtype)
+            xp = tc._padded(x, pad)
+            ho = tc.conv_output_extent(x.shape[1], kernel, stride, pad)
+            wo = tc.conv_output_extent(x.shape[2], kw, stride, pad)
+            r0, c0 = int(rng.integers(0, ho)), int(rng.integers(0, wo))
+            r1, c1 = int(rng.integers(r0 + 1, ho + 1)), int(rng.integers(c0 + 1, wo + 1))
+            buf = np.full(2 * kernel * kw * ho * wo * 3, np.nan, dtype)
+            for rows, columns, into in (((0, ho), (0, wo), None), ((r0, r1), (0, wo), buf),
+                                        ((r0, r0 + 1), (c0, c1), buf), ((r0, r1), (c0, c1), None)):
+                got = tc._unfold(xp, kernel, kw, stride, rows, columns, into)
+                want = unfold_ref(xp, kernel, kw, stride, rows, columns)
+                assert got.dtype == dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -109,8 +151,10 @@ def test_conv_backward_reads_the_kept_unfold_bit_for_bit(kernel, stride, pad, dt
     rng = np.random.default_rng([kernel, stride, pad])
     x = rng.standard_normal((6, 15, 15, 16)).astype(dtype)
     w = rng.standard_normal((8, 6, kernel, kernel)).astype(dtype)
-    out, cols = tc._conv(x, w, rng.standard_normal(8).astype(dtype), stride, pad)
+    b = rng.standard_normal(8).astype(dtype)
+    out, cols = tc._conv(x, w, b, stride, pad, keep=True)
     assert cols is not None and np.shares_memory(cols, x) == (kernel == 1)
+    assert tc._conv(x, w, b, stride, pad)[1] is None        # nobody reads it untaped
     g = rng.standard_normal(out.shape).astype(dtype)
     for need_dx in (True, False):
         kept = tc._conv_backward(g, x, w, stride, pad, need_dx, cols)
@@ -121,18 +165,21 @@ def test_conv_backward_reads_the_kept_unfold_bit_for_bit(kernel, stride, pad, dt
 
 
 def test_blocked_conv_backward_unfolds_again(monkeypatch):
-    """A conv in row blocks keeps no unfold (its buffer holds only the last
-    block), so its taped backward unfolds x once more and gives the bits of
+    """A taped conv whose unfold exceeds _COLS_BYTES runs in blocks of at most
+    F * _FILTER_COLS_BYTES and keeps no unfold (its buffer holds only the
+    last block), so its backward unfolds x once more and gives the bits of
     the unkept route."""
     rng = np.random.default_rng(32)
     x, w, b = rnd((3, 25, 13, 4), rng), rnd((5, 3, 3, 3), rng), rnd(5, rng)
-    monkeypatch.setattr(tc, "_COLS_BYTES", 5 * 27 * 7 * 4 * x.itemsize)
-    rows, unfold = [], tc._unfold
-    monkeypatch.setattr(tc, "_unfold", lambda *a: rows.append(a[4:6]) or unfold(*a))
+    monkeypatch.setattr(tc, "_COLS_BYTES", 27 * 13 * 7 * 4 * x.itemsize - 1)
+    monkeypatch.setattr(tc, "_FILTER_COLS_BYTES", 27 * 7 * 4 * x.itemsize)
+    blocks, unfold = [], tc._unfold
+    monkeypatch.setattr(tc, "_unfold", lambda *a: blocks.append(a[4:6]) or unfold(*a))
     tape, nodes = tc.Tape(), [tc.Node(v) for v in (x, w, b)]
     out = tc.conv2d_taped(tape, *nodes, 2, 1)
     tape.backward()
-    assert rows == [(0, 4), (4, 8), (8, 13), (0, 13)]      # three blocks, then dW's unfold
+    # three blocks, then dW's unfold
+    assert blocks == [((0, 4), (0, 7)), ((4, 8), (0, 7)), ((8, 13), (0, 7)), ((0, 13), (0, 7))]
     ones = np.ones_like(out.value)
     for node, again in zip(nodes, tc._conv_backward(ones, x, w, 2, 1)):
         assert node.grad.tobytes() == again.tobytes()
@@ -140,8 +187,10 @@ def test_blocked_conv_backward_unfolds_again(monkeypatch):
 
 @st.composite
 def _blocked_convs(draw):
-    """A conv of 16-41 output rows and a budget of at most half of them, so at
-    least two blocks (unless it is 1x1 stride 1, which never unfolds)."""
+    """A conv of 16-41 output rows and a budget of at most half of them, or of
+    less than one output row, so at least two blocks (unless it is 1x1 stride
+    1, which never unfolds). N = 1-3 makes 8-column tiles span several output
+    columns."""
     c, f = draw(st.integers(1, 9)), draw(st.integers(1, 8))
     kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 2))
@@ -149,20 +198,27 @@ def _blocked_convs(draw):
     h = (ho - 1) * stride + kh - 2 * pad + draw(st.integers(0, stride - 1))
     wd = draw(st.integers(max(1, kw - 2 * pad), 41))
     wo = tc.conv_output_extent(wd, kw, stride, pad)
-    n = draw(st.integers(1, max(1, min(48, 2_000_000 // (c * kh * kw * ho * wo)))))
-    rows = draw(st.integers(1, ho // 2))        # unfolded rows the budget holds
+    n = draw(st.one_of(st.integers(1, 3),
+                       st.integers(1, max(1, min(48, 2_000_000 // (c * kh * kw * ho * wo))))))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
+    if draw(st.booleans()):
+        columns = draw(st.integers(1, ho // 2)) * wo * n    # whole output rows
+    else:
+        columns = draw(st.integers(1, max(1, wo * n - 1)))  # part of one row
     return (c, f, kh, kw, stride, pad, h, wd, n, dtype,
-            rows * c * kh * kw * wo * n * np.dtype(dtype).itemsize)
+            columns * c * kh * kw * np.dtype(dtype).itemsize)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(_blocked_convs())
 @example((9, 5, 3, 3, 1, 1, 41, 41, 47, np.float32, 8 << 20))   # 8-row steps, a 1-row tail
+@example((9, 8, 7, 7, 2, 3, 32, 32, 128, np.float32, 8 << 16))  # the 9-plane stem
+@example((2, 3, 3, 3, 1, 1, 20, 21, 3, np.float32, 20 * 18 * 4))  # 8-column tiles, a tail
 def test_blocked_conv_matches_one_gemm_on_random_shapes(conv):
     # OpenBLAS picks its kernel by matrix size, so a block's GEMM may round
     # its length-K dot products in another order than one whole GEMM: the
-    # claim is agreement within that rounding, |error| <= (K + 2) eps |w| |x|
+    # claim is agreement within that rounding, |error| <= (K + 2) eps |w| |x|;
+    # the 9-plane stem at batch 128 must match bit for bit
     c, f, kh, kw, stride, pad, h, wd, n, dtype, budget = conv
     rng = np.random.default_rng([c, f, kh, kw, stride, pad, h, wd, n])
     x = rng.standard_normal((c, h, wd, n)).astype(dtype)
@@ -171,12 +227,15 @@ def test_blocked_conv_matches_one_gemm_on_random_shapes(conv):
     blocks, unfold = [], tc._unfold
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tc, "_COLS_BYTES", 1 << 62)
+        patch.setattr(tc, "_FILTER_COLS_BYTES", 1 << 62)
         whole = tc._conv(x, w, b, stride, pad)[0]
         scale = tc._conv(np.abs(x), np.abs(w), np.abs(b), stride, pad)[0]
         patch.setattr(tc, "_COLS_BYTES", budget)
         patch.setattr(tc, "_unfold", lambda *a: blocks.append(a[4:6]) or unfold(*a))
         blocked = tc._conv(x, w, b, stride, pad)[0]
     assert len(blocks) > 1 or kh * kw == stride == 1
+    if (c, f, kh, h, n) == (9, 8, 7, 32, 128):
+        assert blocked.tobytes() == whole.tobytes()
     bound = (c * kh * kw + 2) * np.finfo(dtype).eps * scale
     assert (np.abs(blocked - whole) <= bound).all()
 

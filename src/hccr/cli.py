@@ -80,18 +80,6 @@ def _load_raw(args):
     return raw
 
 
-def _eval_subsets(args, specs):
-    """Load the data, check class counts, and return each model's side of the
-    held-out split in its own preprocessing preset (each preset runs once)."""
-    raw = _load_raw(args)
-    check_class_counts(specs, raw.class_count)
-    side = shuffle_split(raw, TRAIN_FRACTION, args.seed)[args.split == "test"]
-    presets = [PREPROC_PRESETS[reference_net(spec)] for spec in specs]
-    prepared = {preset: preprocess_dataset(side, preset)
-                for preset in dict.fromkeys(presets)}
-    return [prepared[preset] for preset in presets]
-
-
 def _model_mode(spec, mode):
     """`mode`, checked against the model's channels; None picks the one fit."""
     channels = spec.input_shape[0]
@@ -106,6 +94,29 @@ def _model_mode(spec, mode):
         raise UsageError(f"--mode {mode} stacks {stacked} channel(s) but the "
                          f"model expects {channels}")
     return mode
+
+
+def _resolve_models(args, modes):
+    """Load every --model, check each against its mode (one for all models or
+    one each) and the data's class count, and return (spec, params, mode,
+    subset) per model: its side of the held-out split in its own
+    preprocessing preset, each preset run once."""
+    loaded = [load_model(path) for path in args.model]
+    if len(modes) == 1:
+        modes = modes * len(loaded)
+    if len(modes) != len(loaded):
+        raise UsageError(f"got {len(modes)} --mode values for "
+                         f"{len(loaded)} models; give one or one each")
+    specs = [spec for spec, _ in loaded]
+    modes = [_model_mode(spec, mode) for spec, mode in zip(specs, modes)]
+    raw = _load_raw(args)
+    check_class_counts(specs, raw.class_count)
+    side = shuffle_split(raw, TRAIN_FRACTION, args.seed)[args.split == "test"]
+    presets = [PREPROC_PRESETS[reference_net(spec)] for spec in specs]
+    prepared = {preset: preprocess_dataset(side, preset)
+                for preset in dict.fromkeys(presets)}
+    return [(spec, params, mode, prepared[preset])
+            for (spec, params), mode, preset in zip(loaded, modes, presets)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +171,7 @@ def cmd_eval(args):
     _print_config(args)
     if len(args.model) != 1:
         raise UsageError("eval takes exactly one --model")
-    spec, params = load_model(args.model[0])
-    mode = _model_mode(spec, args.mode)
-    subset, = _eval_subsets(args, [spec])
+    (spec, params, mode, subset), = _resolve_models(args, [args.mode])
     report = evaluate_topk(spec, params, subset, mode=mode, batch_size=args.batch)
     print(report_keyvalues(report))
     return 0
@@ -190,20 +199,10 @@ def cmd_extract(args):
 
 def cmd_ensemble(args):
     _print_config(args)
-    loaded = [load_model(path) for path in args.model]
-    specs = [spec for spec, _ in loaded]
-    given = args.mode or [None]
-    if len(given) == 1:
-        given = given * len(loaded)
-    if len(given) != len(loaded):
-        raise UsageError(f"got {len(args.mode)} --mode values for "
-                         f"{len(loaded)} models; give one or one each")
-    modes = [_model_mode(spec, mode) for spec, mode in zip(specs, given)]
-    subsets = _eval_subsets(args, specs)
-    labels = subsets[0].labels()
+    members = _resolve_models(args, args.mode or [None])
+    labels = members[0][3].labels()
     member_probs = []
-    for i, ((spec, params), mode, subset) in enumerate(
-            zip(loaded, modes, subsets)):
+    for i, (spec, params, mode, subset) in enumerate(members):
         probs = predict(spec, params, [s.image for s in subset.samples], mode, args.batch)
         member_probs.append(probs)
         print(f"member{i} top1={top1_percent(probs, labels):.2f} mode={mode} "
@@ -211,7 +210,7 @@ def cmd_ensemble(args):
     # ensemble_predict's mean; not called, as each member reads its own preset's images
     probs = sum(member_probs) / len(member_probs)
     print(f"ensemble top1={top1_percent(probs, labels):.2f} "
-          f"members={len(loaded)}")
+          f"members={len(members)}")
     return 0
 
 

@@ -351,8 +351,9 @@ def synth_glyphs(class_count, samples_per_class, noise=0.0, seed=0):
         raise ValueError(f"class_count must be in 1..100, got {class_count}")
     if samples_per_class < 1:
         raise ValueError("samples_per_class must be >= 1")
-    if not noise >= 0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    top = np.finfo(np.float64).max / 2         # the draw's range, 2 * noise, stays finite
+    if not 0 <= noise <= top:
+        raise ValueError(f"noise must be in [0, {top:.6g}], got {noise}")
     rng = np.random.default_rng(seed)
     class_names = tuple(chr(65 + i // 26) + chr(65 + i % 26)
                         for i in range(class_count))

@@ -10,11 +10,12 @@ input, and a 1x1 stride-1 conv needs no unfold at all. A taped conv whose
 unfold fits _COLS_BYTES runs as one GEMM and keeps its unfold for the
 backward's dW until the tape replays it; every other conv runs one GEMM per
 cache-sized block of output rows, or of one row's columns, equal to one GEMM
-within rounding (see _conv). Windows pay for no np.pad: a
-padded copy is np.full plus one slice assignment, and max pooling reads its
-input in place, forward and backward. NCHW exists only at the network input
-and in the public conv2d and maxpool2d, which transpose around the same
-kernels and serve only the acceptance oracles.
+within rounding (see _conv). Windows pay for no np.pad: the conv unfolds a
+padded copy (np.zeros plus one slice assignment), max pooling reads its
+input in place, and both backward passes add each window cell's gradient
+into its in-range slice of the unpadded input (_window_cells). NCHW exists
+only at the network input and in the public conv2d and maxpool2d, which
+transpose around the same kernels and serve only the acceptance oracles.
 """
 
 import math
@@ -52,22 +53,31 @@ def conv_output_extent(size, kernel, stride, pad):
     return out
 
 
-def _cells(kh, kw, stride, ho, wo):
-    """Slice i*kw + j of a [C, H, W, N] grid holds cell (i, j) of every window."""
-    return [(slice(None), slice(i, i + stride * (ho - 1) + 1, stride),
-             slice(j, j + stride * (wo - 1) + 1, stride))
-            for i in range(kh) for j in range(kw)]
-
-
-def _padded(x, pad, fill=0):
-    """x[C, H, W, N] with `pad` cells of `fill` around H and W (x itself if
-    none): the bytes of np.pad, from np.full and one slice assignment."""
+def _padded(x, pad):
+    """x[C, H, W, N] with `pad` zero cells around H and W (x itself if none):
+    the bytes of np.pad, from np.zeros and one slice assignment."""
     if not pad:
         return x
     c, h, w, n = x.shape
-    xp = np.full((c, h + 2 * pad, w + 2 * pad, n), fill, x.dtype)
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), x.dtype)
     xp[:, pad:pad + h, pad:pad + w] = x
     return xp
+
+
+def _in_range(i, stride, pad, extent, size):
+    """(outputs, x's cells) along an axis where window cell i lies in x, not padding."""
+    lo = max(0, -((i - pad) // stride))                 # ceil((pad - i) / stride)
+    hi = max(lo, min(size, (extent - 1 + pad - i) // stride + 1))
+    first = stride * lo + i - pad                       # x's cell for output lo
+    return slice(lo, hi), slice(first, first + stride * (hi - lo), stride)
+
+
+def _window_cells(kh, kw, stride, pad, x_shape, out_shape):
+    """(output slice, x slice) of [C, H, W, N] grids for each window cell in
+    row-major order: the outputs whose cell (i, j) lies in x, not padding."""
+    ys, xs = ([_in_range(i, stride, pad, x_shape[a], out_shape[a]) for i in range(k)]
+              for a, k in ((1, kh), (2, kw)))
+    return [((slice(None), oy, ox), (slice(None), iy, ix)) for oy, iy in ys for ox, ix in xs]
 
 
 def _unfold(xp, kh, kw, stride, rows, columns, buf=None):
@@ -121,15 +131,11 @@ def _conv(x, w, b, stride=1, pad=0, keep=False):
         _COLS_BYTES, f * _FILTER_COLS_BYTES)
     span = budget // (k * x.itemsize)                   # GEMM columns a block holds
     tile = 8 // math.gcd(wo * n, 8)         # output rows per whole 8-column tile
-    rows = span // (wo * n) // tile * tile
-    if kh * kw == stride == 1 or ho * wo * n <= span:
-        blocks = [((0, ho), (0, wo))]
-    elif rows:
-        blocks = [(r, (0, wo)) for r in _ranges(ho, rows)]
-    else:                                   # one output row is larger than the budget
-        tile = 8 // math.gcd(n, 8)          # output columns per whole 8-column tile
-        blocks = [((r, r + 1), cs) for r in range(ho)
-                  for cs in _ranges(wo, max(tile, span // n // tile * tile))]
+    rows = ho if kh * kw == stride == 1 or ho * wo * n <= span else span // (wo * n) // tile * tile
+    tile = 8 // math.gcd(n, 8)              # output columns per whole 8-column tile
+    # with no whole row in the budget (rows == 0) a block is a column range of one row
+    blocks = [(r, cs) for r in _ranges(ho, rows or 1)
+              for cs in _ranges(wo, wo if rows else max(tile, span // n // tile * tile))]
     (r0, r1), (w0, w1) = blocks[-1]         # the largest block: a tail joins it
     buf = np.empty(k * (r1 - r0) * (w1 - w0) * n, x.dtype) if len(blocks) > 1 else None
     out = np.empty((f, ho, wo, n), np.result_type(wm, x))
@@ -143,8 +149,10 @@ def _conv(x, w, b, stride=1, pad=0, keep=False):
 def _conv_backward(g, x, w, stride, pad, need_dx=True, cols=None):
     """Gradients of _conv w.r.t. (input, weights, bias) given upstream
     g[F, Ho, Wo, N]; dW reads the forward's `cols`, or unfolds x again if
-    there are none. The input's is None, and costs nothing, unless need_dx."""
-    c, h, wd, n = x.shape
+    there are none. The input's is None, and costs nothing, unless need_dx:
+    each window cell's slice of the unfold's gradient, added in row-major
+    order into its in-range slice of dx (a 1x1 stride-1 conv's is as is)."""
+    c, n = x.shape[0], x.shape[3]
     f, _, kh, kw = w.shape
     ho, wo = g.shape[1], g.shape[2]
     gm = g.reshape(f, -1)
@@ -157,10 +165,10 @@ def _conv_backward(g, x, w, stride, pad, need_dx=True, cols=None):
     dcols = (w.reshape(f, -1).T @ gm).reshape(c, kh * kw, ho, wo, n)
     if kh * kw == stride == 1 and not pad:
         return dcols.reshape(x.shape), dw, db
-    dxp = np.zeros((c, h + 2 * pad, wd + 2 * pad, n), dtype=x.dtype)
-    for k, s in enumerate(_cells(kh, kw, stride, ho, wo)):
-        dxp[s] += dcols[:, k]
-    return dxp[:, pad:pad + h, pad:pad + wd], dw, db
+    dx = np.zeros(x.shape, dtype=x.dtype)
+    for k, (o, i) in enumerate(_window_cells(kh, kw, stride, pad, x.shape, g.shape)):
+        dx[i] += dcols[:, k][o]
+    return dx, dw, db
 
 
 def _to_last(x):
@@ -178,14 +186,6 @@ def conv2d(x, w, b, stride=1, pad=0):
     kernel rows then columns, so results are reproducible bit for bit.
     """
     return _conv(_to_last(x), w, b, stride, pad)[0].transpose(3, 0, 1, 2).copy()
-
-
-def _in_range(i, stride, pad, extent, size):
-    """(outputs, x's cells) along an axis where window cell i lies in x, not padding."""
-    lo = max(0, -((i - pad) // stride))                 # ceil((pad - i) / stride)
-    hi = max(lo, min(size, (extent - 1 + pad - i) // stride + 1))
-    first = stride * lo + i - pad                       # x's cell for output lo
-    return slice(lo, hi), slice(first, first + stride * (hi - lo), stride)
 
 
 def _running_max(x, axis, window, stride, pad, size):
@@ -222,9 +222,7 @@ def _maxpool_backward(g, saved):
     row-major order, the reverse of cell order. A non-finite upstream
     element also puts NaN in the other cells of its window."""
     x, out, window, stride, pad = saved
-    ys, xs = ([_in_range(i, stride, pad, x.shape[a], out.shape[a]) for i in range(window)]
-              for a in (1, 2))
-    cells = [((slice(None), oy, ox), (slice(None), iy, ix)) for oy, iy in ys for ox, ix in xs]
+    cells = _window_cells(window, window, stride, pad, x.shape, out.shape)
     # a -inf window goes to its first cell, which may be padding (as -inf)
     free, wins = out != -np.inf, []                     # free: no winner yet
     free[cells[0][0]] = True

@@ -10,7 +10,10 @@ sliding-window view, and gradient and HoG planes voted into a full float64
 plane volume. Each is an order of arithmetic the program must match bit for
 bit. The top-k oracle ranks classes by a stable argsort of every row. The
 unfold oracle copies one strided slice per kernel cell, as the program's
-im2col did before it became one strided copy.
+im2col did before it became one strided copy. The conv input-gradient
+oracle scatters each window cell's slice of the unfold's gradient into a
+zero-padded grid and crops it, as the program did before its conv backward
+took max pooling's in-range cells.
 """
 
 import math
@@ -231,3 +234,21 @@ def unfold_ref(xp, kh, kw, stride, rows, columns):
             cols[:, i * kw + j] = xp[:, stride * r0 + i:stride * (r1 - 1) + i + 1:stride,
                                      stride * w0 + j:stride * (w1 - 1) + j + 1:stride]
     return cols.reshape(c * kh * kw, -1)
+
+
+def conv_dx_scatter_ref(g, x, w, stride, pad):
+    """dx[C, H, W, N] of a batch-last conv for upstream g[F, Ho, Wo, N]: the
+    unfold's gradient w^T g, returned as is for a 1x1 stride-1 conv, else
+    added cell by cell in row-major order into a zero-padded grid, cropped."""
+    c, h, wd, n = x.shape
+    f, _, kh, kw = w.shape
+    ho, wo = g.shape[1], g.shape[2]
+    dcols = (w.reshape(f, -1).T @ g.reshape(f, -1)).reshape(c, kh * kw, ho, wo, n)
+    if kh * kw == stride == 1 and not pad:
+        return dcols.reshape(x.shape)
+    dxp = np.zeros((c, h + 2 * pad, wd + 2 * pad, n), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + stride * (ho - 1) + 1:stride,
+                j:j + stride * (wo - 1) + 1:stride] += dcols[:, i * kw + j]
+    return dxp[:, pad:pad + h, pad:pad + wd]

@@ -89,6 +89,15 @@ def test_nan_noise_exits_2(capsys):
     assert "argument --noise: must be >= 0, got nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("noise", ["inf", "1e308"])
+def test_overflowing_noise_exits_1_without_traceback(noise, tmp_path, capsys):
+    code = main(["synth", "--classes", "1", "--per-class", "1", "--noise", noise,
+                 "--gnt", str(tmp_path / "x.gnt")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: noise must be in") and "Traceback" not in err
+    assert not (tmp_path / "x.gnt").exists()
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["synth", "--classes", "3", "--per-class", "5", "--out", "x",

@@ -426,6 +426,18 @@ def test_synth_rejects_nan_or_negative_noise(noise):
         synth_glyphs(2, 1, noise)
 
 
+@pytest.mark.parametrize("noise", [float("inf"), 1e308, 9e307])
+def test_synth_rejects_noise_whose_range_overflows(noise):
+    with pytest.raises(ValueError, match="noise must be in"):
+        synth_glyphs(1, 1, noise)
+
+
+def test_synth_takes_noise_up_to_half_the_float_range():
+    for noise in (1e307, 8.98e307):
+        image = synth_glyphs(1, 1, noise).samples[0].image
+        assert image.dtype == np.float32 and ((image == 0) | (image == 1)).all()
+
+
 def test_synth_centroid_classifier_beats_sixty_percent():
     # The task must be learnable from raw pixels but not degenerate: a
     # nearest-centroid baseline lands well above chance.

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from hccr import network_builder as nb, tensor_core as tc
 
-from naive_ref import (conv2d_backward_ref, conv2d_ref, maxpool2d_backward_ref,
-                       maxpool2d_ref, matmul_ref, unfold_ref)
+from naive_ref import (conv2d_backward_ref, conv2d_ref, conv_dx_scatter_ref,
+                       maxpool2d_backward_ref, maxpool2d_ref, matmul_ref, unfold_ref)
 
 
 def rnd(shape, rng, dtype=np.float32):
@@ -142,6 +142,41 @@ def test_unfold_is_the_per_cell_copy_byte_for_byte(kernel, dtype):
                 want = unfold_ref(xp, kernel, kw, stride, rows, columns)
                 assert got.dtype == dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+def _bits(a):
+    """a's bytes with every NaN made +NaN: numpy's SIMD add gives NaN + NaN
+    the sign of either operand, by where the element falls in its loop."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", range(1, 8))
+def test_conv_dx_equals_the_padded_scatter_byte_for_byte(kernel, dtype):
+    """Scattering each window cell into its in-range slice of an unpadded dx
+    equals scattering into a zero-padded grid and cropping it, bit for bit
+    but for the sign of a NaN, for upstream gradients that hold +-0.0, +-inf
+    and NaN; a 1x1 stride-1 conv returns the unfold's gradient itself."""
+    rng = np.random.default_rng([kernel, 7])
+    cases = [(kw, stride, pad) for kw in rng.integers(1, 8, 4) for stride in (1, 2, 3)
+             for pad in range(4)] + [(1, 1, 0)] * (kernel == 1)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0], dtype)
+    seen = np.zeros(2, bool)
+    for kw, stride, pad in cases:
+        f = int(rng.integers(1, 4))
+        x = rng.standard_normal((2, kernel + int(rng.integers(0, 9)),
+                                 kw + int(rng.integers(0, 9)), 3)).astype(dtype)
+        w = rng.standard_normal((f, 2, kernel, kw)).astype(dtype)
+        ho = tc.conv_output_extent(x.shape[1], kernel, stride, pad)
+        wo = tc.conv_output_extent(x.shape[2], kw, stride, pad)
+        g = rng.choice(specials, (f, ho, wo, 3))
+        with np.errstate(invalid="ignore"):            # inf - inf in the GEMMs and db
+            dx = tc._conv_backward(g, x, w, stride, pad)[0]
+            want = conv_dx_scatter_ref(g, x, w, stride, pad)
+        assert dx.dtype == dtype and dx.shape == x.shape
+        assert _bits(dx) == _bits(want)
+        seen |= np.isnan(want).any(), np.isinf(want).any()
+    assert seen.all()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -364,15 +399,14 @@ def test_separable_maxpool_and_backward_equal_loop_references(pool):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("fill", [0, -np.inf])
 @pytest.mark.parametrize("pad", [1, 3])
-def test_padded_equals_np_pad_byte_for_byte(pad, fill, dtype):
+def test_padded_equals_np_pad_byte_for_byte(pad, dtype):
     x = rnd((3, 5, 4, 2), np.random.default_rng(pad), dtype)
-    want = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)), constant_values=fill)
-    got = tc._padded(x, pad, fill)
+    want = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    got = tc._padded(x, pad)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    assert tc._padded(x, 0, fill) is x
+    assert tc._padded(x, 0) is x
 
 
 @pytest.mark.parametrize("net", ["googlenet-small", "alexnet-small"])

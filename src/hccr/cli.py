@@ -123,7 +123,6 @@ def _resolve_models(args, modes):
 # subcommands
 
 def cmd_synth(args):
-    _print_config(args)
     if args.out is None and args.gnt is None:
         raise UsageError("at least one of --out or --gnt is required")
     data = synth_glyphs(args.classes, args.per_class, noise=args.noise,
@@ -143,16 +142,16 @@ def cmd_synth(args):
     if args.gnt is not None:
         written = write_gnt(data, args.gnt)
         print(f"wrote {written} bytes to {args.gnt}")
-    return 0
 
 
 def cmd_train(args):
-    _print_config(args)
     try:
         config = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
                              momentum=args.momentum, seed=args.seed, mode=args.mode)
     except ValueError as error:
         raise UsageError(error) from None
+    if args.out is not None and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ValueError(f"--out {args.out} is a directory or lies in a missing one")
     raw = _load_raw(args)
     prepared = preprocess_dataset(raw, PREPROC_PRESETS[args.net])
     train_set, val_set = shuffle_split(prepared, TRAIN_FRACTION, args.seed)
@@ -164,21 +163,17 @@ def cmd_train(args):
     if args.out is not None:
         written = save_model(spec, params, args.out)
         print(f"saved {args.out} ({written} bytes)")
-    return 0
 
 
 def cmd_eval(args):
-    _print_config(args)
     if len(args.model) != 1:
         raise UsageError("eval takes exactly one --model")
     (spec, params, mode, subset), = _resolve_models(args, [args.mode])
     report = evaluate_topk(spec, params, subset, mode=mode, batch_size=args.batch)
     print(report_keyvalues(report))
-    return 0
 
 
 def cmd_extract(args):
-    _print_config(args)
     raw = _load_raw(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,11 +189,9 @@ def cmd_extract(args):
                     write_pgm(out / f"plane{j:02d}.pgm", plane)
     print(f"wrote {len(raw.samples)} tensors ({MODE_CHANNELS[args.mode]} planes "
           f"each) under {out}")
-    return 0
 
 
 def cmd_ensemble(args):
-    _print_config(args)
     members = _resolve_models(args, args.mode or [None])
     labels = members[0][3].labels()
     member_probs = []
@@ -211,11 +204,9 @@ def cmd_ensemble(args):
     probs = sum(member_probs) / len(member_probs)
     print(f"ensemble top1={top1_percent(probs, labels):.2f} "
           f"members={len(members)}")
-    return 0
 
 
 def cmd_inspect(args):
-    _print_config(args)
     if len(args.model) != 1:
         raise UsageError("inspect takes exactly one --model")
     path = args.model[0]
@@ -229,7 +220,6 @@ def cmd_inspect(args):
     print(f"file_bytes={Path(path).stat().st_size}")
     print(f"projected_bytes={size}")
     print(f"size_human={size / 2 ** 20:.2f} MiB")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +331,15 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _print_config(args)
+        args.func(args)
     except UsageError as error:
         print(f"usage error: {error}", file=sys.stderr)
         return 2
     except (OSError, ValueError, tc.ShapeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

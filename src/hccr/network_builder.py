@@ -245,12 +245,9 @@ def _layer_name(index, layer):
 
 def parameter_entries(spec):
     """Canonical (name, shape, fan_in) walk: spec order, branches b1/b3r/b3/b5r/b5/proj."""
-    entries = []
-    shape = tuple(spec.input_shape)
-    for i, layer in enumerate(spec.layers):
-        entries += layer.param_entries(_layer_name(i, layer), shape)
-        shape = layer.out_shape(shape)
-    return entries
+    shapes = [tuple(spec.input_shape), *infer_shapes(spec)]     # each layer's input
+    return [entry for i, layer in enumerate(spec.layers)
+            for entry in layer.param_entries(_layer_name(i, layer), shapes[i])]
 
 
 class ParamStore(dict):

@@ -79,17 +79,13 @@ def format_training_log(log):
                      for e in log)
 
 
-def _batch_ranges(n, batch_size):
-    return [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
-
-
 def predict(spec, params, images, mode, batch_size):
     """Infer-mode probabilities [N, T] of preprocessed images [N, H, W], each batch
     stacked in `mode` just before its forward pass: at most batch_size at once."""
     if len(images) == 0:
         raise ValueError("no images to score")
-    parts = [forward_net(spec, params, stack_batch(images[lo:hi], mode))[0]
-             for lo, hi in _batch_ranges(len(images), batch_size)]
+    parts = [forward_net(spec, params, stack_batch(images[lo:lo + batch_size], mode))[0]
+             for lo in range(0, len(images), batch_size)]
     return np.concatenate(parts, axis=0)
 
 
@@ -138,8 +134,8 @@ def train(spec, train_set, config, val_set=None):
     for epoch in range(config.epochs):
         order = rng.permutation(len(labels))
         loss_sum = 0.0
-        for lo, hi in _batch_ranges(len(labels), config.batch_size):
-            batch = order[lo:hi]
+        for lo in range(0, len(labels), config.batch_size):
+            batch = order[lo:lo + config.batch_size]
             loss, _, grads = loss_and_grads(run_spec, params, x[batch],
                                             labels[batch], rng=rng)
             if not math.isfinite(loss):
@@ -150,8 +146,8 @@ def train(spec, train_set, config, val_set=None):
             loss_sum += loss * len(batch)
         train_loss = loss_sum / len(labels)
         val_top1 = float("nan") if val_set is None else top1_percent(np.concatenate(
-            [forward_net(run_spec, params, val_x[lo:hi])[0]
-             for lo, hi in _batch_ranges(len(val_x), config.batch_size)]), val_set.labels())
+            [forward_net(run_spec, params, val_x[lo:lo + config.batch_size])[0]
+             for lo in range(0, len(val_x), config.batch_size)]), val_set.labels())
         log.append(TrainLogEntry(epoch, train_loss, val_top1))
         checkpoint = params.copy()
         lr *= LR_DECAY

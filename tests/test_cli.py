@@ -170,6 +170,18 @@ def test_help_exits_0(sub, capsys):
 # ---------------------------------------------------------------------------
 # runtime errors (exit 1)
 
+@pytest.mark.parametrize("target", ["missing/m.hcrm", "."])
+def test_train_out_that_cannot_be_written_exits_1_before_training(target, data_dir,
+                                                                  tmp_path, capsys):
+    out = tmp_path / target             # a file in a missing folder; an existing folder
+    rc = main(["train", "--net", "googlenet-small", "--data", str(data_dir),
+               "--epochs", "1", "--batch", "8", "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert rc == 1
+    assert err.startswith(f"error: --out {out} ")
+    assert "\t" not in stdout            # no epoch line: nothing was trained
+
+
 def test_missing_model_file_exits_1(data_dir, capsys):
     rc = main(["eval", "--model", "no/such/model.hcrm",
                "--data", str(data_dir)])
@@ -439,3 +451,41 @@ def test_train_log_deterministic_across_runs(data_dir, tmp_path, capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# every subcommand prints its configuration once, whatever its exit code
+
+CONFIG_RUNS = {     # subcommand -> argv tail per exit code
+    "synth": {0: ["--classes", "1", "--per-class", "1", "--gnt", "{tmp}/s.gnt"],
+              1: ["--classes", "1", "--per-class", "1", "--noise", "inf",
+                  "--gnt", "{tmp}/s.gnt"],
+              2: ["--classes", "1", "--per-class", "1"]},
+    "train": {0: ["--net", "googlenet-small", "--data", "{data}", "--epochs", "0"],
+              1: ["--net", "googlenet-small", "--gnt", "{tmp}/none.gnt"],
+              2: ["--net", "googlenet-small", "--data", "{data}", "--gnt", "{tmp}/g"]},
+    "eval": {0: ["--model", "{model}", "--data", "{data}"],
+             1: ["--model", "{tmp}/none.hcrm", "--data", "{data}"],
+             2: ["--model", "{model}", "--model", "{model}", "--data", "{data}"]},
+    "extract": {0: ["--data", "{data}", "--mode", "original", "--out", "{tmp}/x"],
+                1: ["--data", "{tmp}/none", "--out", "{tmp}/x"],
+                2: ["--data", "{data}", "--gnt", "{tmp}/g", "--out", "{tmp}/x"]},
+    "ensemble": {0: ["--model", "{model}", "--data", "{data}"],
+                 1: ["--model", "{tmp}/none.hcrm", "--data", "{data}"],
+                 2: ["--model", "{model}", "--mode", "original", "--mode",
+                     "original", "--data", "{data}"]},
+    "inspect": {0: ["--model", "{model}"],
+                1: ["--model", "{tmp}/none.hcrm"],
+                2: ["--model", "{model}", "--model", "{model}"]},
+}
+
+
+@pytest.mark.parametrize("sub, code", [(sub, code) for sub in CONFIG_RUNS for code in (0, 1, 2)])
+def test_each_subcommand_prints_one_config_line(sub, code, model_path, data_dir,
+                                                tmp_path, capsys):
+    tail = [arg.format(tmp=tmp_path, data=data_dir, model=model_path)
+            for arg in CONFIG_RUNS[sub][code]]
+    assert main([sub, *tail]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"config: subcommand={sub} ")
+    assert sum(line.startswith("config:") for line in lines) == 1

@@ -375,6 +375,14 @@ def test_load_image_dir_skips_unreadable(tmp_path):
     assert len(ds) == 4
 
 
+def test_load_image_dir_skips_a_folder_inside_a_class(tmp_path):
+    build_image_dir(tmp_path)
+    (tmp_path / "a" / "nested").mkdir()
+    write_pgm(tmp_path / "a" / "nested" / "0.pgm", np.zeros((8, 8), np.float32))
+    ds = load_image_dir(tmp_path)       # no "skipped" warning: a folder is not an image
+    assert ds.class_names == ("a", "b") and len(ds) == 4
+
+
 def test_load_image_dir_empty_root(tmp_path):
     with pytest.raises(ValueError, match="no class subdirectories"):
         load_image_dir(tmp_path)

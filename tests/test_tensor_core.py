@@ -450,6 +450,16 @@ def test_relu_backward_subgradient_zero_at_zero():
     np.testing.assert_array_equal(tc._relu_backward(g, x), [0.0, 0.0, 1.0])
 
 
+def test_backward_skips_a_record_whose_output_got_no_gradient():
+    tape = tc.Tape()
+    dead, live = tc.Node(np.array([1.0, -1.0], np.float32)), tc.Node(np.ones(2, np.float32))
+    tc.relu_taped(tape, dead)       # nothing downstream reads this output
+    tc.relu_taped(tape, live)
+    tape.backward()
+    assert dead.grad is None
+    np.testing.assert_array_equal(live.grad, [1.0, 1.0])
+
+
 def test_dropout_zero_rate_is_identity():
     tape = tc.Tape()
     node = tc.Node(np.ones((4, 4), dtype=np.float32))

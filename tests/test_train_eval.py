@@ -122,6 +122,20 @@ def test_training_is_deterministic(glyph_splits):
         assert np.array_equal(params_a[name], params_b[name])
 
 
+def test_training_walks_a_short_final_batch(glyph_splits, monkeypatch):
+    train_set, val_set = glyph_splits           # 72 and 18 samples
+    rows = {"train": [], "val": []}
+    real_step, real_forward = train_eval.loss_and_grads, train_eval.forward_net
+    monkeypatch.setattr(train_eval, "loss_and_grads", lambda spec, params, x, labels, rng:
+                        rows["train"].append(len(labels)) or real_step(spec, params, x, labels, rng))
+    monkeypatch.setattr(train_eval, "forward_net", lambda spec, params, x:
+                        rows["val"].append(len(x)) or real_forward(spec, params, x))
+    cfg = TrainConfig(epochs=2, batch_size=16, lr=0.05, seed=4)
+    _, log = train(mini_spec(), train_set, cfg, val_set)
+    assert rows == {"train": [16, 16, 16, 16, 8] * 2, "val": [16, 2] * 2}
+    assert len(log) == 2 and all(math.isfinite(e.train_loss) for e in log)
+
+
 def test_zero_lr_keeps_initial_weights(glyph_splits):
     train_set, _ = glyph_splits
     spec = mini_spec()

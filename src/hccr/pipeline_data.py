@@ -157,6 +157,9 @@ def preprocess(sample, spec):
 # ---------------------------------------------------------------------------
 # GNT binary records
 
+GNT_HEADER = struct.Struct("<I2s2H")        # record size, tag, width, height
+
+
 def load_gnt(path):
     """Read GNT records: u32 size, 2-byte tag, u16 width, u16 height, pixels.
 
@@ -170,20 +173,18 @@ def load_gnt(path):
     images, tags = [], []
     offset = 0
     while offset < len(data):
-        if offset + 10 > len(data):
+        if offset + GNT_HEADER.size > len(data):
             raise ValueError(f"truncated record header at byte {offset}")
-        size, = struct.unpack_from("<I", data, offset)
-        tag = data[offset + 4:offset + 6]
-        width, height = struct.unpack_from("<2H", data, offset + 6)
+        size, tag, width, height = GNT_HEADER.unpack_from(data, offset)
         if width == 0 or height == 0:
             raise ValueError(f"record at byte {offset}: empty {width}x{height} image")
-        if size != 10 + width * height:
+        if size != GNT_HEADER.size + width * height:
             raise ValueError(f"record at byte {offset}: size field {size} != "
                              f"10 + {width}x{height}")
         if offset + size > len(data):
             raise ValueError(f"truncated record body at byte {offset}: "
                              f"need {size} bytes, have {len(data) - offset}")
-        images.append(scaled[offset + 10:offset + size].reshape(height, width))
+        images.append(scaled[offset + GNT_HEADER.size:offset + size].reshape(height, width))
         tags.append(tag.decode("latin-1"))
         offset += size
     names = sorted(set(tags))
@@ -208,10 +209,7 @@ def write_gnt(dataset, path):
         image = np.asarray(sample.image)
         pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
         h, w = pixels.shape
-        out += struct.pack("<I", 10 + w * h)
-        out += tag
-        out += struct.pack("<2H", w, h)
-        out += pixels.tobytes()
+        out += GNT_HEADER.pack(GNT_HEADER.size + w * h, tag, w, h) + pixels.tobytes()
     Path(path).write_bytes(bytes(out))
     return len(out)
 

@@ -369,14 +369,13 @@ class Tape:
                     node.grad += contrib
 
 
-def _record(tape, name, inputs, output, backward):
-    """Every *_taped op records through here; with tape=None it only computes."""
-    return output if tape is None else tape.record(name, inputs, output, backward)
+def _record(tape, name, inputs, value, backward):
+    """Every *_taped op makes its output node here; with tape=None it only computes."""
+    return Node(value) if tape is None else tape.record(name, inputs, Node(value), backward)
 
 
 def conv2d_taped(tape, x, w, b, stride=1, pad=0):
     y, cols = _conv(x.value, w.value, b.value, stride, pad, tape is not None)
-    out = Node(y)
     need_dx = tape is not None and x not in tape.inputs  # no tape in the closure
 
     def backward(g):    # only a tape holds it, so with none cols dies on return
@@ -384,26 +383,23 @@ def conv2d_taped(tape, x, w, b, stride=1, pad=0):
         grads = [(w, dw), (b, db)]
         return grads if dx is None else [(x, dx)] + grads
 
-    return _record(tape, "conv2d", (x, w, b), out, backward)
+    return _record(tape, "conv2d", (x, w, b), y, backward)
 
 
 def maxpool2d_taped(tape, x, window, stride, pad=0):
     y, saved = _maxpool(x.value, window, stride, pad)
-    out = Node(y)
 
     def backward(g):
         return [(x, _maxpool_backward(g, saved))]
 
-    return _record(tape, "maxpool2d", (x,), out, backward)
+    return _record(tape, "maxpool2d", (x,), y, backward)
 
 
 def relu_taped(tape, x):
-    out = Node(relu(x.value))
-
     def backward(g):
         return [(x, _relu_backward(g, x.value))]
 
-    return _record(tape, "relu", (x,), out, backward)
+    return _record(tape, "relu", (x,), relu(x.value), backward)
 
 
 def dropout_taped(tape, x, rate, rng):
@@ -423,23 +419,22 @@ def dropout_taped(tape, x, rate, rng):
     *features, n = x.value.shape
     mask = (rng.random((n, *features)) >= rate).astype(dtype) / dtype.type(1 - rate)
     mask = np.moveaxis(mask, 0, -1)
-    out = Node(x.value * mask)
 
     def backward(g):
         return [(x, g * mask)]
 
-    return _record(tape, "dropout", (x,), out, backward)
+    return _record(tape, "dropout", (x,), x.value * mask, backward)
 
 
 def concat_channels_taped(tape, xs):
     """concat_channels of batch-last tensors; each gradient is a contiguous view."""
-    out = Node(concat_channels([x.value for x in xs]))
+    y = concat_channels([x.value for x in xs])
     bounds = np.cumsum([0] + [x.value.shape[0] for x in xs])
 
     def backward(g):
         return [(x, g[bounds[i]:bounds[i + 1]]) for i, x in enumerate(xs)]
 
-    return _record(tape, "concat", tuple(xs), out, backward)
+    return _record(tape, "concat", tuple(xs), y, backward)
 
 
 def fully_connected_taped(tape, x, w, b):
@@ -448,24 +443,24 @@ def fully_connected_taped(tape, x, w, b):
     shape = x.value.shape
     # contiguous [N, D] rows: the GEMM's bits are those of NCHW input rows
     flat = np.ascontiguousarray(x.value.reshape(-1, shape[-1]).T)
-    out = Node(fully_connected(flat, w.value, b.value).T)
 
     def backward(g):
         gn = np.ascontiguousarray(g.T)      # [N, T], as the forward's product
         return [(x, (gn @ w.value).T.reshape(shape)), (w, gn.T @ flat), (b, gn.sum(axis=0))]
 
-    return _record(tape, "fully_connected", (x, w, b), out, backward)
+    return _record(tape, "fully_connected", (x, w, b),
+                   fully_connected(flat, w.value, b.value).T, backward)
 
 
 def mean_pool_taped(tape, x):
     """Global average pooling [C, H, W, N] -> [C, N], summed in NCHW order."""
     h, w = x.value.shape[1:3]
-    out = Node(np.ascontiguousarray(x.value.transpose(0, 3, 1, 2)).mean(axis=(2, 3)))
 
     def backward(g):
         return [(x, np.broadcast_to(g[:, None, None] / g.dtype.type(h * w), x.value.shape))]
 
-    return _record(tape, "mean_pool", (x,), out, backward)
+    return _record(tape, "mean_pool", (x,), np.ascontiguousarray(
+        x.value.transpose(0, 3, 1, 2)).mean(axis=(2, 3)), backward)
 
 
 def softmax_cross_entropy_taped(tape, logits, labels):
@@ -476,7 +471,7 @@ def softmax_cross_entropy_taped(tape, logits, labels):
     """
     labels = np.asarray(labels)
     p = softmax(logits.value.T)
-    out = Node(np.asarray(cross_entropy(p, labels), dtype=p.dtype))
+    loss = np.asarray(cross_entropy(p, labels), dtype=p.dtype)
     n = p.shape[0]
 
     def backward(g):
@@ -485,7 +480,7 @@ def softmax_cross_entropy_taped(tape, logits, labels):
         d *= g / p.dtype.type(n)
         return [(logits, d.T)]
 
-    return _record(tape, "softmax_cross_entropy", (logits,), out, backward), p
+    return _record(tape, "softmax_cross_entropy", (logits,), loss, backward), p
 
 
 # ---------------------------------------------------------------------------

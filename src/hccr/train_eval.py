@@ -122,9 +122,6 @@ def train(spec, train_set, config, val_set=None):
     rng = np.random.default_rng([config.seed, 1])
     x = stack_batch([s.image for s in train_set.samples], config.mode)
     labels = train_set.labels()
-    if x.shape[1:] != tuple(run_spec.input_shape):
-        raise tc.ShapeError(f"stacked input {x.shape[1:]} does not match "
-                            f"network input {tuple(run_spec.input_shape)}")
     if val_set is not None:     # stacked once; every epoch scores the same planes
         val_x = stack_batch([s.image for s in val_set.samples], config.mode)
     log = []

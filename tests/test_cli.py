@@ -1,8 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hccr
 from hccr.cli import main
 from hccr.directional_features import stack_input
 from hccr.network_builder import build_net, init_weights
@@ -489,3 +495,50 @@ def test_each_subcommand_prints_one_config_line(sub, code, model_path, data_dir,
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(f"config: subcommand={sub} ")
     assert sum(line.startswith("config:") for line in lines) == 1
+
+
+# ---------------------------------------------------------------------------
+# seeded bytes across BLAS thread counts
+
+# argv of each child, in order; paths are relative to its working directory,
+# because the config line prints them
+THREAD_RUNS = [["synth", "--classes", "4", "--per-class", "10", "--noise", "0.05",
+                "--seed", "2", "--out", "data"]] + [
+    argv for mode in ("original", "original+gabor") for argv in (
+        ["train", "--net", "googlenet-small", "--data", "data", "--mode", mode,
+         "--epochs", "1", "--batch", "8", "--seed", "5", "--out", f"{mode}.hcrm"],
+        ["eval", "--model", f"{mode}.hcrm", "--mode", mode, "--data", "data",
+         "--batch", "7"])]
+# the live thread count of the OpenBLAS that numpy bundles, or -1 where there is none
+LIVE_BLAS_THREADS = """import ctypes, pathlib, numpy
+libs = sorted((pathlib.Path(numpy.__file__).parent.parent / "numpy.libs")
+              .glob("libscipy_openblas64_*.so"))
+if libs:
+    get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+print(get() if libs else -1)"""
+
+
+def test_seeded_runs_give_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    """synth, a 1-epoch train and eval, each in a child process at
+    OPENBLAS_NUM_THREADS=1 and =2: models, stdout, stderr and exit codes agree."""
+    src = str(Path(hccr.__file__).resolve().parents[1])
+    results = []
+    for threads in (1, 2):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=path)
+        live = int(subprocess.run([sys.executable, "-c", LIVE_BLAS_THREADS], env=env,
+                                  capture_output=True, text=True, check=True,
+                                  timeout=60).stdout)
+        # the child really runs that many threads, as many as OpenBLAS finds CPUs for
+        assert live == -1 or live == min(threads, len(os.sched_getaffinity(0)))
+        runs = [subprocess.run([sys.executable, "-m", "hccr.cli", *argv], cwd=cwd, env=env,
+                               capture_output=True, timeout=120) for argv in THREAD_RUNS]
+        results.append(([(run.returncode, run.stdout, run.stderr) for run in runs],
+                        sorted((p.name, p.read_bytes()) for p in cwd.glob("*.hcrm"))))
+    assert [code for code, _, _ in results[0][0]] == [0] * len(THREAD_RUNS)
+    assert len(results[0][1]) == 2
+    assert results[0] == results[1]

@@ -223,6 +223,8 @@ def test_load_gnt_hand_built_record(tmp_path):
     np.testing.assert_array_equal(
         sample.image, np.arange(6, dtype=np.uint8).reshape(3, 2) / np.float32(255))
     assert sample.image.dtype == np.float32
+    again = tmp_path / "again.gnt"      # a non-square record: width before height
+    assert write_gnt(ds, again) == 16 and again.read_bytes() == path.read_bytes()
 
 
 def test_load_gnt_empty_file(tmp_path):

@@ -15,6 +15,7 @@ from hccr.network_builder import (
     ReLU,
     Softmax,
     build_hccr_googlenet,
+    build_net,
     count_parameters,
     init_weights,
     parameter_entries,
@@ -45,7 +46,7 @@ from hccr.train_eval import (
     save_model,
     train,
 )
-from hccr.directional_features import stack_batch
+from hccr.directional_features import MODE_CHANNELS, stack_batch
 from hccr.network_builder import forward_net
 
 from naive_ref import rank_classes
@@ -258,6 +259,30 @@ def test_eval_report_sizes_match_size_report(glyph_splits):
     report = evaluate_topk(spec, init_weights(spec, 0), val_set)
     assert report.parameter_count == count_parameters(spec)
     assert report.serialized_bytes == model_bytes(spec)
+
+
+# Largest probability change --batch may cause on the small reference nets. Measured
+# at most 7.5e-8 on these nets and data, 4.8e-7 on 9-plane alexnet-small elsewhere
+# (the block plans and OpenBLAS's kernels depend on the batch size N).
+BATCH_TOLERANCE = 1e-6
+
+
+@pytest.mark.parametrize("net, mode", [("googlenet-small", "original"),
+                                       ("googlenet-small", "original+gabor"),
+                                       ("alexnet-small", "original+hog")])
+def test_batch_size_moves_probabilities_within_tolerance(net, mode):
+    """forward_net of 128 images in batches of 1, 7 and 64 agrees with one batch
+    of 128 within BATCH_TOLERANCE and on every top-1, on a fixed seed."""
+    data = preprocess_dataset(synth_glyphs(16, 8, noise=0.1, seed=2), PREPROC_PRESETS[net])
+    x = stack_batch([s.image for s in data.samples], mode)
+    spec = build_net(net, data.class_count, MODE_CHANNELS[mode])
+    params = init_weights(spec, 3)
+    whole = forward_net(spec, params, x)[0]
+    for batch in (1, 7, 64):
+        parts = np.concatenate([forward_net(spec, params, x[lo:lo + batch])[0]
+                                for lo in range(0, len(x), batch)])
+        assert np.abs(parts - whole).max() <= BATCH_TOLERANCE
+        assert np.array_equal(parts.argmax(axis=1), whole.argmax(axis=1))
 
 
 def test_report_renderers():

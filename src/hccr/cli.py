@@ -152,8 +152,8 @@ def cmd_train(args):
         raise UsageError(error) from None
     if args.out is not None and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         raise ValueError(f"--out {args.out} is a directory or lies in a missing one")
-    raw = _load_raw(args)
-    prepared = preprocess_dataset(raw, PREPROC_PRESETS[args.net])
+    # no name holds the raw glyphs: they are freed before training starts
+    prepared = preprocess_dataset(_load_raw(args), PREPROC_PRESETS[args.net])
     train_set, val_set = shuffle_split(prepared, TRAIN_FRACTION, args.seed)
     spec = build_net(args.net, prepared.class_count, MODE_CHANNELS[args.mode])
     params, log = train(spec, train_set, config, val_set)

@@ -267,16 +267,21 @@ class ParamStore(dict):
         return ParamStore({k: v.copy() for k, v in self.items()})
 
 
+INIT_DRAW = 1 << 16     # normals per draw: 512 KiB per float64 temporary
+
+
 def init_weights(spec, seed):
-    """He-normal weights (variance 2/fan_in), zero biases, deterministic per seed."""
+    """He-normal weights (variance 2/fan_in), zero biases, deterministic per seed;
+    drawn INIT_DRAW at a time into float32, the same stream and bits as one draw."""
     rng = np.random.default_rng(seed)
     tensors = {}
     for name, shape, fan_in in parameter_entries(spec):
-        if name.endswith(".b"):
-            tensors[name] = np.zeros(shape, dtype=tc.FLOAT)
-        else:
-            std = math.sqrt(2.0 / fan_in)
-            tensors[name] = (rng.standard_normal(shape) * std).astype(tc.FLOAT)
+        tensor = tensors[name] = np.zeros(shape, dtype=tc.FLOAT)
+        if not name.endswith(".b"):
+            flat, std = tensor.reshape(-1), math.sqrt(2.0 / fan_in)
+            for lo in range(0, flat.size, INIT_DRAW):
+                part = flat[lo:lo + INIT_DRAW]
+                part[...] = rng.standard_normal(part.size) * std
     return ParamStore(tensors)
 
 

@@ -203,15 +203,18 @@ def write_gnt(dataset, path):
     if bad:
         raise ValueError(f"GNT tags are two latin-1 bytes; cannot write class "
                          f"name(s) {', '.join(map(repr, bad))}")
-    out = bytearray()
-    for sample in dataset.samples:
-        tag = dataset.class_names[sample.label].encode("latin-1")
-        image = np.asarray(sample.image)
-        pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-        h, w = pixels.shape
-        out += GNT_HEADER.pack(GNT_HEADER.size + w * h, tag, w, h) + pixels.tobytes()
-    Path(path).write_bytes(bytes(out))
-    return len(out)
+    with open(path, "wb") as out:     # each record written as it is packed
+        try:
+            for sample in dataset.samples:
+                tag = dataset.class_names[sample.label].encode("latin-1")
+                image = np.asarray(sample.image)
+                pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+                h, w = pixels.shape
+                out.write(GNT_HEADER.pack(GNT_HEADER.size + w * h, tag, w, h) + pixels.tobytes())
+        except BaseException:       # a sample that cannot be packed leaves no file
+            Path(path).unlink()
+            raise
+        return out.tell()
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ little-endian; the loader rebuilds the topology from the name.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -222,51 +222,52 @@ def relative_error_reduction(baseline_acc, new_acc):
 # persistence and size accounting
 
 def save_model(spec, params, path):
-    """Write the HCRM container of a reference network; returns the byte count."""
-    out = bytearray(MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, spec.class_count,
-                                      spec.input_shape[0],
-                                      reference_net(spec).encode("ascii")))
+    """Write the HCRM container of a reference network, once every check has
+    passed, each tensor as it stands (float32 is not copied); returns the byte count."""
+    header = MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, spec.class_count,
+                               spec.input_shape[0], reference_net(spec).encode("ascii"))
     for name, shape, _ in parameter_entries(spec):
-        tensor = params[name]
-        if tuple(tensor.shape) != shape:
-            raise ValueError(f"parameter {name} has shape {tensor.shape}, "
+        if tuple(params[name].shape) != shape:
+            raise ValueError(f"parameter {name} has shape {params[name].shape}, "
                              f"spec wants {shape}")
-        out += np.ascontiguousarray(tensor, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(out))
-    return len(out)
+    with open(path, "wb") as out:
+        out.write(header)
+        for name, _, _ in parameter_entries(spec):
+            out.write(np.ascontiguousarray(params[name], dtype="<f4"))
+    return model_bytes(spec)
 
 
 def load_model(path):
-    """Read an HCRM container back into (spec, ParamStore); bad files raise ValueError."""
-    data = Path(path).read_bytes()
-    if data[:4] != MODEL_MAGIC:
-        raise ValueError(f"{path}: bad magic {data[:4]!r}")
-    if len(data) < MODEL_HEADER.size:
-        raise ValueError(f"{path}: {len(data)} bytes is too short for an HCRM header")
-    _, version, class_count, channels, name = MODEL_HEADER.unpack_from(data)
-    if version != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported version {version} "
-                         f"(this build reads version {MODEL_VERSION})")
-    if class_count < 1 or channels < 1:
-        raise ValueError(f"{path}: {class_count} classes and {channels} input "
-                         f"channels; both must be >= 1")
-    try:
-        spec = build_net(name.rstrip(b"\0").decode("latin-1"), class_count, channels)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-    offset = MODEL_HEADER.size
-    expected = model_bytes(spec)
-    if len(data) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, file has "
-                         f"{len(data)}")
-    tensors = {}
-    for name, shape, _ in parameter_entries(spec):
-        count = int(np.prod(shape))
-        flat = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        if not np.isfinite(flat).all():
-            raise ValueError(f"{path}: parameter {name} holds non-finite values")
-        tensors[name] = flat.reshape(shape).astype(tc.FLOAT)
-        offset += 4 * count
+    """Read an HCRM container back into (spec, ParamStore), each tensor straight
+    into its own array; bad files raise ValueError."""
+    with open(path, "rb") as f:
+        head, size = f.read(MODEL_HEADER.size), os.fstat(f.fileno()).st_size
+        if head[:4] != MODEL_MAGIC:
+            raise ValueError(f"{path}: bad magic {head[:4]!r}")
+        if size < MODEL_HEADER.size:
+            raise ValueError(f"{path}: {size} bytes is too short for an HCRM header")
+        _, version, class_count, channels, name = MODEL_HEADER.unpack(head)
+        if version != MODEL_VERSION:
+            raise ValueError(f"{path}: unsupported version {version} "
+                             f"(this build reads version {MODEL_VERSION})")
+        if class_count < 1 or channels < 1:
+            raise ValueError(f"{path}: {class_count} classes and {channels} input "
+                             f"channels; both must be >= 1")
+        try:
+            spec = build_net(name.rstrip(b"\0").decode("latin-1"), class_count, channels)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+        expected = model_bytes(spec)
+        if size != expected:
+            raise ValueError(f"{path}: expected {expected} bytes, file has {size}")
+        tensors = {}
+        for name, shape, _ in parameter_entries(spec):
+            tensor = np.empty(shape, dtype="<f4")
+            if f.readinto(tensor) != tensor.nbytes:     # the file shrank since the check
+                raise ValueError(f"{path}: file ends inside parameter {name}")
+            if not np.isfinite(tensor).all():
+                raise ValueError(f"{path}: parameter {name} holds non-finite values")
+            tensors[name] = tensor.astype(tc.FLOAT, copy=False)
     return spec, ParamStore(tensors)
 
 

@@ -1,14 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hccr
+from hccr import cli
 from hccr.cli import main
 from hccr.directional_features import stack_input
 from hccr.network_builder import build_net, init_weights
@@ -327,6 +330,28 @@ def test_train_prints_log_and_saves(data_dir, tmp_path, capsys):
     assert epoch == "0" and float(loss) > 0 and 0 <= float(top1) <= 100
     assert out.exists()
     assert f"saved {out}" in text
+
+
+def test_train_frees_the_raw_glyphs_before_training(gnt_path, monkeypatch):
+    """Only the prepared images outlive preprocessing: the raw Dataset and the
+    whole-file float32 array under its images are gone when training starts."""
+    load_raw, run_train, raw_refs, alive = cli._load_raw, cli.train, [], []
+
+    def tracked_load_raw(args):
+        raw = load_raw(args)
+        raw_refs.extend([weakref.ref(raw), weakref.ref(raw.samples[0].image.base)])
+        return raw
+
+    def checked_train(*args, **kwargs):
+        gc.collect()
+        alive.extend(ref() is not None for ref in raw_refs)
+        return run_train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_load_raw", tracked_load_raw)
+    monkeypatch.setattr(cli, "train", checked_train)
+    assert main(["train", "--net", "googlenet-small", "--gnt", str(gnt_path),
+                 "--epochs", "0"]) == 0
+    assert alive == [False, False]
 
 
 def test_eval_reports_topk(gnt_path, tmp_path, capsys):

@@ -303,6 +303,19 @@ def test_write_gnt_refuses_names_that_are_not_two_latin1_bytes(tmp_path, name):
     assert not (tmp_path / "x.gnt").exists()
 
 
+@pytest.mark.parametrize("image, error", [
+    (np.zeros((2, 3, 4)), ValueError),          # not a 2-D image
+    (np.zeros((1, 65536)), struct.error),       # wider than a u16 extent
+])
+def test_write_gnt_refusing_a_sample_leaves_no_file(tmp_path, image, error):
+    """The bad sample comes after a good one, so records were already written."""
+    good = synth_glyphs(1, 1, seed=0).samples[0]
+    path = tmp_path / "x.gnt"
+    with pytest.raises(error):
+        write_gnt(Dataset([good, Sample(image, 0)], ("AA",)), path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # PGM and labeled directories
 

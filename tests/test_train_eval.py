@@ -1,6 +1,8 @@
 """Tests for training, evaluation, ensembling, and model persistence."""
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ import pytest
 from hccr import tensor_core as tc
 from hccr import train_eval
 from hccr.network_builder import (
+    REFERENCE_NETS,
     Conv,
     FullyConnected,
     MaxPool,
     NetworkSpec,
+    ParamStore,
     ReLU,
     Softmax,
     build_hccr_googlenet,
@@ -19,6 +23,7 @@ from hccr.network_builder import (
     count_parameters,
     init_weights,
     parameter_entries,
+    reference_net,
 )
 from hccr.pipeline_data import (
     PREPROC_PRESETS,
@@ -31,6 +36,9 @@ from hccr.pipeline_data import (
 )
 from hccr.train_eval import (
     LR_DECAY,
+    MODEL_HEADER,
+    MODEL_MAGIC,
+    MODEL_VERSION,
     TOPK,
     EvalReport,
     TrainConfig,
@@ -453,10 +461,24 @@ def test_load_rejects_corruption(tmp_path):
             load_model(bad)
 
 
+def test_load_refuses_a_file_cut_short_after_its_size_check(tmp_path, monkeypatch):
+    """The tensors are read after the size check; a file that shrank in between
+    is refused, not read into uninitialised weights."""
+    spec = saved_spec()
+    path = tmp_path / "m.hcrm"
+    save_model(spec, init_weights(spec, 0), path)
+    path.write_bytes(path.read_bytes()[:-6])
+    monkeypatch.setattr(train_eval.os, "fstat", lambda fd: os.stat_result(
+        (0,) * 6 + (model_bytes(spec),) + (0,) * 3))
+    with pytest.raises(ValueError, match=f"ends inside parameter {parameter_entries(spec)[-1][0]}"):
+        load_model(path)
+
+
 def test_save_rejects_other_topologies(tmp_path):
     spec = mini_spec()
     with pytest.raises(ValueError, match="reference networks"):
         save_model(spec, init_weights(spec, 0), tmp_path / "mini.hcrm")
+    assert not (tmp_path / "mini.hcrm").exists()
 
 
 def test_storage_projection_for_reference_parameter_count():
@@ -473,3 +495,62 @@ def test_save_rejects_wrong_shapes(tmp_path):
     params[name] = np.zeros((1, 1), dtype=np.float32)
     with pytest.raises(ValueError, match="shape"):
         save_model(spec, params, tmp_path / "bad.hcrm")
+    assert not (tmp_path / "bad.hcrm").exists()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_saved_bytes_equal_an_independent_packing(tmp_path, dtype):
+    """The header, then each canonical tensor's little-endian float32 bytes;
+    float64 weights round to float32 as numpy's cast does."""
+    spec = saved_spec()
+    rng = np.random.default_rng(5)
+    params = ParamStore({name: rng.standard_normal(shape).astype(dtype)
+                         for name, shape, _ in parameter_entries(spec)})
+    want = MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, spec.class_count,
+                             spec.input_shape[0], reference_net(spec).encode())
+    want += b"".join(np.asarray(params[name], dtype="<f4").tobytes()
+                     for name, _, _ in parameter_entries(spec))
+    path = tmp_path / "m.hcrm"
+    assert save_model(spec, params, path) == len(want)
+    assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("net", REFERENCE_NETS)
+def test_init_weights_equal_whole_tensor_draws(net):
+    """init_weights draws in slices; the bits are those of one draw per tensor."""
+    spec = build_net(net, 10, 1)
+    params = init_weights(spec, 4)
+    rng = np.random.default_rng(4)
+    for name, shape, fan_in in parameter_entries(spec):
+        if name.endswith(".b"):
+            want = np.zeros(shape, dtype=np.float32)
+        else:
+            want = rng.standard_normal(shape)
+            want *= math.sqrt(2.0 / fan_in)
+            want = want.astype(np.float32)
+        assert params[name].dtype == np.float32 and params[name].tobytes() == want.tobytes()
+
+
+def traced_peak_mib(call):
+    """(result, tracemalloc's peak in MiB over the call)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_model_io_holds_one_copy_of_the_weights(tmp_path):
+    """googlenet-full at 3,755 classes: 27.6 MiB of float32 weights. Each call
+    holds at most one copy of them, plus temporaries of one tensor."""
+    spec = build_net("googlenet-full", 3755, 1)
+    weights_mib = 4 * count_parameters(spec) / 2 ** 20
+    params, init_peak = traced_peak_mib(lambda: init_weights(spec, 0))
+    path = tmp_path / "full.hcrm"
+    _, save_peak = traced_peak_mib(lambda: save_model(spec, params, path))
+    (_, loaded), load_peak = traced_peak_mib(lambda: load_model(path))
+    assert init_peak <= weights_mib + 4
+    assert save_peak <= 1
+    assert load_peak <= weights_mib + 8
+    assert all(np.array_equal(loaded[name], params[name]) for name in params)

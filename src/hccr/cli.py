@@ -22,6 +22,7 @@ from .network_builder import (
     reference_net,
 )
 from .pipeline_data import (
+    GLYPH_CLASSES,
     PREPROC_PRESETS,
     load_gnt,
     load_image_dir,
@@ -42,7 +43,7 @@ from .train_eval import (
     predict,
     report_keyvalues,
     save_model,
-    top1_percent,
+    topk_percent,
     train,
 )
 
@@ -53,13 +54,15 @@ class UsageError(Exception):
     """Bad flag combination detected after parsing; exits with code 2."""
 
 
-def _at_least(kind, minimum):
-    """argparse type: `kind` of the text, refused below `minimum`; named after
-    `kind`, so malformed text reads "invalid int value"."""
+def _bounded(kind, minimum, maximum=None):
+    """argparse type: `kind` of the text, refused below `minimum` or above
+    `maximum`; named after `kind`, so malformed text reads "invalid int value"."""
     def parse(text):
         value = kind(text)
         if not value >= minimum:      # NaN compares False both ways
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
     parse.__name__ = kind.__name__
     return parse
@@ -198,11 +201,11 @@ def cmd_ensemble(args):
     for i, (spec, params, mode, subset) in enumerate(members):
         probs = predict(spec, params, [s.image for s in subset.samples], mode, args.batch)
         member_probs.append(probs)
-        print(f"member{i} top1={top1_percent(probs, labels):.2f} mode={mode} "
+        print(f"member{i} top1={topk_percent(probs, labels)[1]:.2f} mode={mode} "
               f"({args.model[i]})")
     # ensemble_predict's mean; not called, as each member reads its own preset's images
     probs = sum(member_probs) / len(member_probs)
-    print(f"ensemble top1={top1_percent(probs, labels):.2f} "
+    print(f"ensemble top1={topk_percent(probs, labels)[1]:.2f} "
           f"members={len(members)}")
 
 
@@ -235,9 +238,9 @@ def _add_data_flags(sub):
 def _add_scoring_flags(sub):
     sub.add_argument("--split", choices=("train", "test"), default="test",
                      help="which side of the held-out split to score")
-    sub.add_argument("--seed", type=_at_least(int, 0), default=0,
+    sub.add_argument("--seed", type=_bounded(int, 0), default=0,
                      help="split seed; match the training run to reuse its split")
-    sub.add_argument("--batch", type=_at_least(int, 1), default=128,
+    sub.add_argument("--batch", type=_bounded(int, 1), default=128,
                      help="evaluation batch size and most images stacked at once")
 
 
@@ -251,13 +254,13 @@ def build_parser():
 
     synth = subs.add_parser("synth", formatter_class=fmt,
                             help="generate a synthetic glyph dataset")
-    synth.add_argument("--classes", type=_at_least(int, 1), required=True,
-                       help="number of glyph classes (1-100)")
-    synth.add_argument("--per-class", type=_at_least(int, 1), required=True,
+    synth.add_argument("--classes", type=_bounded(int, 1, GLYPH_CLASSES), required=True,
+                       help=f"number of glyph classes (1-{GLYPH_CLASSES})")
+    synth.add_argument("--per-class", type=_bounded(int, 1), required=True,
                        help="samples per class")
-    synth.add_argument("--noise", type=_at_least(float, 0), default=0.0,
+    synth.add_argument("--noise", type=_bounded(float, 0), default=0.0,
                        help="uniform pixel noise amplitude")
-    synth.add_argument("--seed", type=_at_least(int, 0), default=0,
+    synth.add_argument("--seed", type=_bounded(int, 0), default=0,
                        help="generation seed")
     synth.add_argument("--out", metavar="PATH", default=None,
                        help="directory for per-class PGM folders")
@@ -272,15 +275,15 @@ def build_parser():
     _add_data_flags(tr)
     tr.add_argument("--mode", choices=tuple(MODE_CHANNELS), default="original",
                     help="input feature stacking")
-    tr.add_argument("--epochs", type=_at_least(int, 0), default=20,
+    tr.add_argument("--epochs", type=_bounded(int, 0), default=20,
                     help="training epochs")
-    tr.add_argument("--batch", type=_at_least(int, 1), default=64,
+    tr.add_argument("--batch", type=_bounded(int, 1), default=64,
                     help="minibatch size")
-    tr.add_argument("--lr", type=_at_least(float, 0), default=0.01,
+    tr.add_argument("--lr", type=_bounded(float, 0), default=0.01,
                     help="initial learning rate")
-    tr.add_argument("--momentum", type=_at_least(float, 0), default=0.9,
+    tr.add_argument("--momentum", type=_bounded(float, 0), default=0.9,
                     help="SGD momentum")
-    tr.add_argument("--seed", type=_at_least(int, 0), default=0,
+    tr.add_argument("--seed", type=_bounded(int, 0), default=0,
                     help="seed for init, shuffling, and the held-out split")
     tr.add_argument("--out", metavar="PATH", default=None,
                     help="model file to write")

@@ -27,27 +27,19 @@ from . import tensor_core as tc
 
 @dataclass(frozen=True)
 class GaborBankSpec:
-    """Oriented sinusoid-under-Gaussian filters at D evenly spaced angles.
+    """The fixed bank: oriented sinusoid-under-Gaussian filters at D evenly
+    spaced angles. It takes no arguments, so every instance is equal.
 
     Orientations are theta_k = k*pi/D for k in 0..D-1, where theta is the
     carrier (oscillation) direction; a plane responds most strongly to
-    strokes running along theta + pi/2. sigma defaults to 0.56*wavelength.
+    strokes running along theta + pi/2.
     """
-    orientation_count: int = 8
-    kernel_size: int = 11
-    wavelength: float = 8.0
-    sigma: float = None
-    aspect: float = 0.5
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", 0.56 * self.wavelength)
-        if self.orientation_count < 1:
-            raise ValueError("orientation_count must be >= 1")
-        if self.kernel_size < 3 or self.kernel_size % 2 == 0:
-            raise ValueError(f"kernel_size must be odd and >= 3, "
-                             f"got {self.kernel_size}")
+    orientation_count = 8
+    kernel_size = 11
+    wavelength = 8.0
+    sigma = 0.56 * wavelength
+    aspect = 0.5
+    phase = 0.0
 
     @property
     def orientations(self):
@@ -77,7 +69,7 @@ def gabor_kernel(theta, spec=None):
 
 @functools.lru_cache(maxsize=8)
 def gabor_bank(spec=None):
-    """All D kernels, stacked [D, k, k]; built once per spec, read-only."""
+    """All D kernels, stacked [D, k, k]; built once, read-only."""
     spec = spec or GaborBankSpec()
     bank = np.stack([gabor_kernel(t, spec) for t in spec.orientations])
     bank.flags.writeable = False

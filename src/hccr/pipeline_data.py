@@ -241,7 +241,7 @@ def read_pgm(path):
     pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
     if pixels.max() > maxval:
         raise ValueError(f"{path}: pixel value {pixels.max()} exceeds maxval {maxval}")
-    return (pixels.reshape(height, width) / np.float32(maxval)).astype(tc.FLOAT)
+    return pixels.reshape(height, width) / np.float32(maxval)    # uint8 / float32: float32
 
 
 def write_pgm(path, image):
@@ -284,6 +284,7 @@ def load_image_dir(root):
 # synthetic glyphs
 
 GLYPH_SIZE = 48
+GLYPH_CLASSES = 100     # the repertoire: 10 stroke families x 10 variants
 _C = (GLYPH_SIZE - 1) / 2.0
 
 
@@ -348,8 +349,8 @@ def synth_glyphs(class_count, samples_per_class, noise=0.0, seed=0):
     sample perturbs the glyph by a shift of up to 3 px, a rotation of up
     to 10 degrees, and uniform pixel noise of the given amplitude.
     """
-    if not 1 <= class_count <= 100:
-        raise ValueError(f"class_count must be in 1..100, got {class_count}")
+    if not 1 <= class_count <= GLYPH_CLASSES:
+        raise ValueError(f"class_count must be in 1..{GLYPH_CLASSES}, got {class_count}")
     if samples_per_class < 1:
         raise ValueError("samples_per_class must be >= 1")
     top = np.finfo(np.float64).max / 2         # the draw's range, 2 * noise, stays finite

@@ -4,7 +4,7 @@ Training is plain minibatch SGD with momentum and a per-epoch multiplicative
 learning-rate decay, fully deterministic for a given seed, one taped
 loss_and_grads pass per step; its splits are stacked once. Evaluation and
 ensembling stack each batch just before its inference-only forward_net pass
-(predict) and rank classes by probability, ties toward the lower index.
+(predict). Every top-k, the training log's too, counts by topk_percent.
 Models persist to a small binary container, HCRM v2: a 32-byte header
 (magic "HCRM", then u32 version, class count and input channels, then the
 reference network's name NUL-padded to 16 bytes), followed by the raw
@@ -89,10 +89,15 @@ def predict(spec, params, images, mode, batch_size):
     return np.concatenate(parts, axis=0)
 
 
-def top1_percent(probs, labels):
-    """Percent of rows whose most probable class is the label."""
-    hits = int((probs.argmax(axis=1) == labels).sum())
-    return 100.0 * hits / len(labels)
+def topk_percent(probs, labels):
+    """Percent of rows whose label ranks below k, for each k of TOPK up to the
+    row length. A label's rank is its place in a stable best-first argsort
+    (ties toward the lower index, NaNs last), found by counting."""
+    n, p = len(labels), probs[np.arange(len(labels)), labels][:, None]
+    lower = np.arange(probs.shape[1]) < labels[:, None]
+    rank = ((probs > p) | (probs == p) & lower
+            | np.isnan(p) & (lower | ~np.isnan(probs))).sum(axis=1)
+    return {k: 100.0 * int((rank < k).sum()) / n for k in TOPK if k <= probs.shape[1]}
 
 
 def check_class_counts(specs, data_class_count=0):
@@ -142,9 +147,9 @@ def train(spec, train_set, config, val_set=None):
                 tc.sgd_step(params, grads, lr, config.momentum, velocity)
             loss_sum += loss * len(batch)
         train_loss = loss_sum / len(labels)
-        val_top1 = float("nan") if val_set is None else top1_percent(np.concatenate(
+        val_top1 = float("nan") if val_set is None else topk_percent(np.concatenate(
             [forward_net(run_spec, params, val_x[lo:lo + config.batch_size])[0]
-             for lo in range(0, len(val_x), config.batch_size)]), val_set.labels())
+             for lo in range(0, len(val_x), config.batch_size)]), val_set.labels())[1]
         log.append(TrainLogEntry(epoch, train_loss, val_top1))
         checkpoint = params.copy()
         lr *= LR_DECAY
@@ -167,15 +172,8 @@ def evaluate_topk(spec, params, dataset, mode="original", batch_size=128):
     """Top-k accuracies for each k of TOPK up to the class count, mean loss and sizes."""
     labels = dataset.labels()
     probs = predict(spec, params, [s.image for s in dataset.samples], mode, batch_size)
-    # each label's place in a stable best-first argsort (NaNs last), by counting
-    n, p = len(labels), probs[np.arange(len(labels)), labels][:, None]
-    lower = np.arange(probs.shape[1]) < labels[:, None]
-    rank = ((probs > p) | (probs == p) & lower
-            | np.isnan(p) & (lower | ~np.isnan(probs))).sum(axis=1)
-    topk = {k: 100.0 * int((rank < k).sum()) / n
-            for k in TOPK if k <= spec.class_count}
-    return EvalReport(topk, tc.cross_entropy(probs, labels), n,
-                      count_parameters(spec), model_bytes(spec))
+    return EvalReport(topk_percent(probs, labels), tc.cross_entropy(probs, labels),
+                      len(labels), count_parameters(spec), model_bytes(spec))
 
 
 def report_keyvalues(report):

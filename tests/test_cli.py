@@ -70,10 +70,12 @@ def test_missing_required_flag_exits_2():
     assert info.value.code == 2
 
 
-def test_bad_flag_value_exits_2():
-    with pytest.raises(SystemExit) as info:
-        main(["synth", "--classes", "0", "--per-class", "5", "--out", "x"])
-    assert info.value.code == 2
+def test_bad_flag_value_exits_2(capsys):
+    for classes, bound in (("0", ">= 1"), ("101", "<= 100")):   # 100: the repertoire
+        with pytest.raises(SystemExit) as info:
+            main(["synth", "--classes", classes, "--per-class", "5", "--out", "x"])
+        assert info.value.code == 2
+        assert f"argument --classes: must be {bound}, got {classes}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, message", [

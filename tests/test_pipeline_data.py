@@ -323,7 +323,10 @@ def test_pgm_round_trip(tmp_path):
     image = (np.arange(30, dtype=np.float32) / 255.0).reshape(5, 6)
     path = tmp_path / "img.pgm"
     write_pgm(path, image)
-    np.testing.assert_allclose(read_pgm(path), image, atol=1e-7)
+    read = read_pgm(path)
+    np.testing.assert_allclose(read, image, atol=1e-7)
+    pixels = np.arange(30, dtype=np.uint8).reshape(5, 6)
+    assert read.dtype == np.float32 and read.tobytes() == (pixels / np.float32(255)).tobytes()
 
 
 def test_pgm_comment_and_maxval(tmp_path):

@@ -52,6 +52,7 @@ from hccr.train_eval import (
     relative_error_reduction,
     report_keyvalues,
     save_model,
+    topk_percent,
     train,
 )
 from hccr.directional_features import MODE_CHANNELS, stack_batch
@@ -217,8 +218,9 @@ def test_log_formatting():
 # evaluation
 
 def test_rank_classes_breaks_ties_low_first(monkeypatch):
-    """evaluate_topk counts each label's rank; it must equal the label's place
-    in the stable argsort oracle, on tied, random and NaN rows, for every k."""
+    """topk_percent counts each label's rank; it must equal the label's place
+    in the stable argsort oracle, on tied, random and NaN rows, for every k,
+    alone and through evaluate_topk."""
     probs = np.array([[0.2, 0.5, 0.2, 0.1],
                       [0.25, 0.25, 0.25, 0.25]], dtype=np.float32)
     ranked = rank_classes(probs)
@@ -240,6 +242,7 @@ def test_rank_classes_breaks_ties_low_first(monkeypatch):
     report = evaluate_topk(mini_spec(classes=t), None, data)
     at = np.argmax(rank_classes(probs) == labels[:, None], axis=1)    # oracle ranks
     assert list(report.topk) == list(TOPK)
+    assert topk_percent(probs, labels) == report.topk
     for k in TOPK:
         assert report.topk[k] == 100.0 * int((at < k).sum()) / len(labels)
     # one row at a time, so each label's rank, not only the counts, must agree
@@ -248,6 +251,7 @@ def test_rank_classes_breaks_ties_low_first(monkeypatch):
         one = evaluate_topk(mini_spec(classes=t), None, Dataset(
             [Sample(images[0], int(label))], data.class_names))
         assert one.topk == {k: 100.0 * (rank < k) for k in TOPK}
+        assert topk_percent(row[None], label[None]) == one.topk
 
 
 def test_topk_monotone_and_capped_at_class_count(glyph_splits):

@@ -3,8 +3,8 @@
 Preprocessing follows a fixed recipe: reverse the gray values so ink is
 bright on a dark ground, bilinear-resize to the network's inner square,
 then center the result inside a slightly larger mask with blank margins.
-Each stage takes images [..., H, W]; preprocess_dataset stacks runs of up
-to 32 consecutive same-shape samples. Ingestion covers GNT binary sample
+Each stage takes images [..., H, W]; preprocess_images stacks runs of up
+to 32 consecutive same-shape images. Ingestion covers GNT binary sample
 files, directories of P5 PGM images (header grammar in read_pgm), and a
 deterministic synthetic glyph task for desk-scale experiments.
 """
@@ -138,15 +138,18 @@ def same_shape_runs(images, window):
             for i in range(start, stop, window)]
 
 
-def preprocess_dataset(dataset, spec):
+def preprocess_images(images, spec):
     """invert -> resize to target -> center-pad into the mask, each run of up to
-    32 same-shape samples as one array (bounding float64 temporaries)."""
-    samples, out = dataset.samples, []
-    for run in same_shape_runs([s.image for s in samples], 32):
-        images = invert_gray([samples[i].image for i in run])
-        images = center_pad(resize_bilinear(images, spec.target), spec.mask)
-        out.extend(replace(samples[i], image=image) for i, image in zip(run, images))
-    return Dataset(out, dataset.class_names)
+    32 same-shape images as one array (bounding float64 temporaries); in order."""
+    return [image for run in same_shape_runs(images, 32) for image in center_pad(
+        resize_bilinear(invert_gray([images[i] for i in run]), spec.target), spec.mask)]
+
+
+def preprocess_dataset(dataset, spec):
+    """preprocess_images of every sample, labels kept."""
+    images = preprocess_images([s.image for s in dataset.samples], spec)
+    return Dataset([replace(s, image=image) for s, image in zip(dataset.samples, images)],
+                   dataset.class_names)
 
 
 def preprocess(sample, spec):

@@ -4,7 +4,8 @@ Training is plain minibatch SGD with momentum and a per-epoch multiplicative
 learning-rate decay, fully deterministic for a given seed, one taped
 loss_and_grads pass per step; its splits are stacked once. Evaluation and
 ensembling stack each batch just before its inference-only forward_net pass
-(predict). Every top-k, the training log's too, counts by topk_percent.
+(predict), which given a preset first preprocesses each batch of raw images.
+Every top-k, the training log's too, counts by topk_percent.
 Models persist to a small binary container, HCRM v2: a 32-byte header
 (magic "HCRM", then u32 version, class count and input channels, then the
 reference network's name NUL-padded to 16 bytes), followed by the raw
@@ -32,6 +33,7 @@ from .network_builder import (
     reference_net,
     with_dropout_rate,
 )
+from .pipeline_data import preprocess_images
 
 MODEL_MAGIC = b"HCRM"
 # Bump whenever a reference topology changes: files store only its name.
@@ -79,14 +81,17 @@ def format_training_log(log):
                      for e in log)
 
 
-def predict(spec, params, images, mode, batch_size):
-    """Infer-mode probabilities [N, T] of preprocessed images [N, H, W], each batch
-    stacked in `mode` just before its forward pass: at most batch_size at once."""
+def predict(spec, params, images, mode, batch_size, preset=None):
+    """Infer-mode probabilities [N, T] of images [N, H, W], each batch stacked in
+    `mode` just before its forward pass: at most batch_size at once. With a
+    `preset` the images are raw, and each batch is preprocessed before stacking."""
     if len(images) == 0:
         raise ValueError("no images to score")
-    parts = [forward_net(spec, params, stack_batch(images[lo:lo + batch_size], mode))[0]
-             for lo in range(0, len(images), batch_size)]
-    return np.concatenate(parts, axis=0)
+    batches = (images[lo:lo + batch_size] for lo in range(0, len(images), batch_size))
+    if preset is not None:
+        batches = (preprocess_images(batch, preset) for batch in batches)
+    return np.concatenate([forward_net(spec, params, stack_batch(batch, mode))[0]
+                           for batch in batches], axis=0)
 
 
 def topk_percent(probs, labels):
@@ -168,10 +173,11 @@ class EvalReport:
     serialized_bytes: int
 
 
-def evaluate_topk(spec, params, dataset, mode="original", batch_size=128):
-    """Top-k accuracies for each k of TOPK up to the class count, mean loss and sizes."""
+def evaluate_topk(spec, params, dataset, mode="original", batch_size=128, preset=None):
+    """Top-k accuracies for each k of TOPK up to the class count, mean loss and
+    sizes; with a `preset` the dataset is raw and predict preprocesses each batch."""
     labels = dataset.labels()
-    probs = predict(spec, params, [s.image for s in dataset.samples], mode, batch_size)
+    probs = predict(spec, params, [s.image for s in dataset.samples], mode, batch_size, preset)
     return EvalReport(topk_percent(probs, labels), tc.cross_entropy(probs, labels),
                       len(labels), count_parameters(spec), model_bytes(spec))
 

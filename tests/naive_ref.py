@@ -13,7 +13,9 @@ unfold oracle copies one strided slice per kernel cell, as the program's
 im2col did before it became one strided copy. The conv input-gradient
 oracle scatters each window cell's slice of the unfold's gradient into a
 zero-padded grid and crops it, as the program did before its conv backward
-took max pooling's in-range cells.
+took max pooling's in-range cells. The scoring oracle preprocesses a whole
+side before its first forward pass, as `hccr eval` and `hccr ensemble` did
+before they preprocessed each batch just before stacking it.
 """
 
 import math
@@ -24,6 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hccr.directional_features import (HOG_BINS, HOG_CELL, chaincode_decompose,
                                        sobel_gradients)
 from hccr.pipeline_data import Dataset, Sample
+from hccr.train_eval import predict
 
 
 def conv2d_ref(x, w, b, stride=1, pad=0):
@@ -177,6 +180,13 @@ def preprocess_ref(dataset, spec):
         image = center_pad_ref(resize_bilinear_ref(image, spec.target), spec.mask)
         samples.append(Sample(image, sample.label))
     return Dataset(samples, dataset.class_names)
+
+
+def predict_upfront_ref(spec, params, images, mode, batch_size, preset):
+    """Raw images scored as `hccr eval` and `hccr ensemble` once did: the whole
+    side preprocessed first (here one image at a time), then predicted."""
+    prepared = preprocess_ref(Dataset([Sample(image, 0) for image in images], ()), preset)
+    return predict(spec, params, [s.image for s in prepared.samples], mode, batch_size)
 
 
 SOBEL = np.array([[[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]],       # x

@@ -14,10 +14,15 @@ import hccr
 from hccr import cli
 from hccr.cli import main
 from hccr.directional_features import stack_input
-from hccr.network_builder import build_net, init_weights
-from hccr.pipeline_data import Dataset, Sample, load_image_dir, load_gnt, write_gnt
+from hccr.network_builder import build_net, init_weights, reference_net
+from hccr.pipeline_data import (PREPROC_PRESETS, Dataset, Sample, load_image_dir,
+                                load_gnt, shuffle_split, write_gnt)
 from hccr.tensor_core import read_dtns
-from hccr.train_eval import save_model
+from hccr.train_eval import (evaluate_topk, load_model, report_keyvalues, save_model,
+                             topk_percent)
+
+from naive_ref import predict_upfront_ref, preprocess_ref
+from test_train_eval import traced_peak_mib
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +370,82 @@ def test_eval_reports_topk(gnt_path, tmp_path, capsys):
     for key in ("top1=", "top2=", "top5=", "top10=", "mean_loss=",
                 "serialized_bytes="):
         assert key in out
+
+
+@pytest.fixture(scope="module")
+def mixed_gnt(tmp_path_factory):
+    """100 glyphs of ten classes in five interleaved shapes (48x48, 37x61, 1x9,
+    9x1, 48x48): the shuffled split leaves short same-shape runs on each side."""
+    rng, shapes = np.random.default_rng(5), [(48, 48), (37, 61), (1, 9), (9, 1), (48, 48)]
+    samples = [Sample(rng.random(shapes[i % 5], dtype=np.float32), i % 10)
+               for i in range(100)]
+    path = tmp_path_factory.mktemp("mixed") / "m.gnt"
+    write_gnt(Dataset(samples, tuple(f"C{i}" for i in range(10))), path)
+    return path
+
+
+def test_streamed_eval_and_ensemble_report_as_upfront_preprocessing(mixed_gnt, tmp_path,
+                                                                    capsys):
+    """eval and ensemble at --batch 3 print what preprocessing the whole scored
+    side before the first forward pass gives."""
+    models = [(seeded_model(tmp_path / "goog.hcrm", "googlenet-small", 10), "original"),
+              (seeded_model(tmp_path / "alex.hcrm", "alexnet-small", 10, 9), "original+hog")]
+    loaded = []
+    for path, mode in models:
+        spec, params = load_model(path)
+        loaded.append((spec, params, mode, PREPROC_PRESETS[reference_net(spec)]))
+    for split in ("test", "train"):
+        side = shuffle_split(load_gnt(mixed_gnt), cli.TRAIN_FRACTION, 0)[split == "test"]
+        data = ["--gnt", str(mixed_gnt), "--split", split, "--batch", "3"]
+        spec, params, mode, preset = loaded[1]
+        assert main(["eval", "--model", str(models[1][0]), "--mode", mode] + data) == 0
+        want = evaluate_topk(spec, params, preprocess_ref(side, preset), mode, 3)
+        assert capsys.readouterr().out.splitlines()[1:] == report_keyvalues(want).splitlines()
+        labels, images = side.labels(), [s.image for s in side.samples]
+        probs = [predict_upfront_ref(spec, params, images, mode, 3, preset)
+                 for spec, params, mode, preset in loaded]
+        want = [f"member{i} top1={topk_percent(p, labels)[1]:.2f} mode={mode} ({path})"
+                for i, (p, (path, mode)) in enumerate(zip(probs, models))]
+        want.append(f"ensemble top1={topk_percent(sum(probs) / 2, labels)[1]:.2f} members=2")
+        argv = ["ensemble", "--model", str(models[0][0]), "--model", str(models[1][0]),
+                "--mode", "original", "--mode", "original+hog"]
+        assert main(argv + data) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == want
+
+
+def test_scoring_holds_the_raw_side_not_the_file(gnt_path, tmp_path, monkeypatch):
+    """The scored side's images are copies: the file's array is freed when
+    _resolve_models returns, and no name holds the side preprocessed."""
+    load_raw, raw_refs = cli._load_raw, []
+
+    def tracked_load_raw(args):
+        raw = load_raw(args)
+        raw_refs.append(raw.samples[0].image.base)
+        return raw
+
+    monkeypatch.setattr(cli, "_load_raw", tracked_load_raw)
+    model = seeded_model(tmp_path / "ten.hcrm", classes=10)
+    args = cli.build_parser().parse_args(["eval", "--model", str(model), "--gnt",
+                                          str(gnt_path)])
+    side, _ = cli._resolve_models(args, [None])
+    file_array = raw_refs.pop()
+    assert len(side) == 80 and all(s.image.dtype == np.float32 for s in side.samples)
+    assert not any(np.shares_memory(s.image, file_array) for s in side.samples)
+    file_array = weakref.ref(file_array)
+    gc.collect()
+    assert file_array() is None
+
+    # Peak memory grows with the raw side, not by a 120x120 float32 image a sample
+    model = seeded_model(tmp_path / "full.hcrm", "googlenet-full", classes=10)
+    peaks = []
+    for per_class in (2, 6):                    # 16 and 48 scored samples
+        gnt = tmp_path / f"{per_class}.gnt"
+        assert main(["synth", "--classes", "10", "--per-class", str(per_class),
+                     "--gnt", str(gnt)]) == 0
+        argv = ["eval", "--model", str(model), "--gnt", str(gnt), "--split", "train",
+                "--batch", "2"]
+        peaks.append(traced_peak_mib(lambda: main(argv))[1])
+    assert (peaks[1] - peaks[0]) * 2 ** 20 / 32 < 4 * 120 * 120
 
 
 def test_eval_reports_no_k_above_the_class_count(model_path, data_dir, capsys,

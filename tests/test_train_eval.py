@@ -31,6 +31,7 @@ from hccr.pipeline_data import (
     PreprocSpec,
     Sample,
     preprocess_dataset,
+    preprocess_images,
     shuffle_split,
     synth_glyphs,
 )
@@ -58,7 +59,7 @@ from hccr.train_eval import (
 from hccr.directional_features import MODE_CHANNELS, stack_batch
 from hccr.network_builder import forward_net
 
-from naive_ref import rank_classes
+from naive_ref import predict_upfront_ref, preprocess_ref, rank_classes
 
 # Error-rate reductions implied by accuracy pairs (94.77, 96.74) etc.,
 # frozen from hand arithmetic: (baseline_err - new_err) / baseline_err.
@@ -357,6 +358,41 @@ def test_inference_stacks_each_batch_just_before_its_pass(glyph_splits, monkeypa
     probs_a, probs_b = (whole_stack_in_slices(*m) for m in members)
     assert report.mean_loss == tc.cross_entropy(probs_a, val_set.labels())
     assert np.array_equal(got, (probs_a + probs_b) / 2)
+
+
+def mixed_shape_images(seed=0):
+    """131 raw images in same-shape runs of 40 (48x48), 5 (37x61), 3 (1x9), 4 (9x1),
+    70 (48x48) and 9 (37x61): batches of 7 and 128 and preprocessing's runs of 32
+    all cut runs short."""
+    rng = np.random.default_rng(seed)
+    runs = [(40, (48, 48)), (5, (37, 61)), (3, (1, 9)), (4, (9, 1)), (70, (48, 48)),
+            (9, (37, 61))]
+    return [rng.random(shape, dtype=np.float32) for count, shape in runs
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("net", ["googlenet-small", "alexnet-small"])
+def test_streamed_scoring_keeps_the_bytes_of_upfront_preprocessing(net, monkeypatch):
+    """predict with a preset preprocesses each batch of raw images just before
+    stacking it, with the bits of preprocessing the whole side first."""
+    images, preset, mode = mixed_shape_images(), PREPROC_PRESETS[net], "original+gabor"
+    spec = build_net(net, 10, MODE_CHANNELS[mode])
+    params = init_weights(spec, 4)
+    for batch in (1, 7, 128):
+        got = predict(spec, params, images, mode, batch, preset)
+        want = predict_upfront_ref(spec, params, images, mode, batch, preset)
+        assert got.tobytes() == want.tobytes()
+    raw = Dataset([Sample(image, i % 10) for i, image in enumerate(images)],
+                  tuple("0123456789"))
+    assert (evaluate_topk(spec, params, raw, mode, 7, preset)
+            == evaluate_topk(spec, params, preprocess_ref(raw, preset), mode, 7))
+    steps = []
+    for name, step in (("preprocess_images", preprocess_images), ("stack_batch", stack_batch)):
+        monkeypatch.setattr(train_eval, name, lambda batch, arg, name=name, step=step:
+                            steps.append((name, len(batch))) or step(batch, arg))
+    predict(spec, params, images, mode, 64, preset)
+    assert steps == [(name, size) for size in (64, 64, 3)
+                     for name in ("preprocess_images", "stack_batch")]
 
 
 def test_predict_refuses_zero_images():

@@ -119,9 +119,7 @@ def _resolve_models(args, modes):
     check_class_counts(specs, raw.class_count)
     side = shuffle_split(raw, TRAIN_FRACTION, args.seed)[args.split == "test"]
     images = [s.image for s in side.samples]
-    # runs of 16: runs of 32-1,024 left more heap behind (ensemble peak RSS +13-18%)
-    copies = [image for run in same_shape_runs(images, 16)
-              for image in np.stack([images[i] for i in run])]
+    copies = [im for run in same_shape_runs(images) for im in np.stack([images[i] for i in run])]
     side.samples = [Sample(image, s.label) for image, s in zip(copies, side.samples)]
     return side, [(spec, params, mode, PREPROC_PRESETS[reference_net(spec)])
                   for (spec, params), mode in zip(loaded, modes)]
@@ -188,9 +186,8 @@ def cmd_extract(args):
     names = ["".join(f"%{ord(ch):02X}" if ch in "/\0%" else ch for ch in tag)
              for tag in raw.class_names]        # each one path component
     images = [sample.image for sample in raw.samples]
-    for run in same_shape_runs(images, 1024):      # the window bounds memory
-        stacks = stack_batch([images[i] for i in run], args.mode)
-        for index, planes in zip(run, stacks):
+    for run in same_shape_runs(images):
+        for index, planes in zip(run, stack_batch([images[i] for i in run], args.mode)):
             tc.write_dtns(out / f"{index:05d}_{names[raw.samples[index].label]}.dtns", planes)
             if index == 0:
                 for j, plane in enumerate(planes):

@@ -4,7 +4,7 @@ Preprocessing follows a fixed recipe: reverse the gray values so ink is
 bright on a dark ground, bilinear-resize to the network's inner square,
 then center the result inside a slightly larger mask with blank margins.
 Each stage takes images [..., H, W]; preprocess_images stacks runs of up
-to 32 consecutive same-shape images. Ingestion covers GNT binary sample
+to 16 consecutive same-shape images. Ingestion covers GNT binary sample
 files, directories of P5 PGM images (header grammar in read_pgm), and a
 deterministic synthetic glyph task for desk-scale experiments.
 """
@@ -129,19 +129,22 @@ def center_pad(image, mask):
     return out
 
 
-def same_shape_runs(images, window):
-    """Index ranges that cover `images` in order, each a run of at most
-    `window` consecutive images of one shape."""
+# Images per same-shape run. A run bounds preprocessing's float64 temporaries and
+# extract's stacked planes; scored-side copies in runs of 32-1,024 left more heap behind.
+_RUN_LENGTH = 16
+
+
+def same_shape_runs(images):
+    """Index ranges covering `images` in order: up to _RUN_LENGTH images of one shape."""
     cuts = [i for i in range(1, len(images)) if images[i].shape != images[i - 1].shape]
-    return [range(i, min(i + window, stop))
+    return [range(i, min(i + _RUN_LENGTH, stop))
             for start, stop in zip([0] + cuts, cuts + [len(images)])
-            for i in range(start, stop, window)]
+            for i in range(start, stop, _RUN_LENGTH)]
 
 
 def preprocess_images(images, spec):
-    """invert -> resize to target -> center-pad into the mask, each run of up to
-    32 same-shape images as one array (bounding float64 temporaries); in order."""
-    return [image for run in same_shape_runs(images, 32) for image in center_pad(
+    """invert -> resize to target -> center-pad into the mask, run by run; in order."""
+    return [image for run in same_shape_runs(images) for image in center_pad(
         resize_bilinear(invert_gray([images[i] for i in run]), spec.target), spec.mask)]
 
 

@@ -448,6 +448,37 @@ def test_scoring_holds_the_raw_side_not_the_file(gnt_path, tmp_path, monkeypatch
     assert (peaks[1] - peaks[0]) * 2 ** 20 / 32 < 4 * 120 * 120
 
 
+def test_ensemble_peak_grows_by_less_than_a_stack_per_scored_sample(tmp_path):
+    """A two-member 9-plane ensemble holds the raw side and one stacked batch,
+    so its peak grows by less than one 9-plane 32x32 float32 stack a sample."""
+    models = [(seeded_model(tmp_path / "goog.hcrm", "googlenet-small", 10, 9), "original+gabor"),
+              (seeded_model(tmp_path / "alex.hcrm", "alexnet-small", 10, 9), "original+hog")]
+    argv = ["ensemble", "--split", "train", "--batch", "4"]
+    for path, mode in models:
+        argv += ["--model", str(path), "--mode", mode]
+    peaks = []
+    for per_class in (20, 60):      # 160 and 480 scored samples: the side sets the peak
+        gnt = tmp_path / f"{per_class}.gnt"
+        assert main(["synth", "--classes", "10", "--per-class", str(per_class),
+                     "--gnt", str(gnt)]) == 0
+        peaks.append(traced_peak_mib(lambda: main(argv + ["--gnt", str(gnt)]))[1])
+    assert (peaks[1] - peaks[0]) * 2 ** 20 / 320 < 4 * 9 * 32 * 32
+
+
+def test_extract_peak_grows_by_less_than_half_a_stack_per_glyph(tmp_path):
+    """extract stacks one same-shape run at a time, so its peak grows by less
+    than half of one 9-plane 48x48 float32 stack per glyph."""
+    peaks = []
+    for per_class in (8, 24):                   # 32 and 96 glyphs
+        gnt = tmp_path / f"{per_class}.gnt"
+        assert main(["synth", "--classes", "4", "--per-class", str(per_class),
+                     "--gnt", str(gnt)]) == 0
+        argv = ["extract", "--gnt", str(gnt), "--mode", "original+gabor",
+                "--out", str(tmp_path / f"out{per_class}")]
+        peaks.append(traced_peak_mib(lambda: main(argv))[1])
+    assert (peaks[1] - peaks[0]) * 2 ** 20 / 64 < 4 * 9 * 48 * 48 / 2
+
+
 def test_eval_reports_no_k_above_the_class_count(model_path, data_dir, capsys,
                                                  recwarn):
     assert main(["eval", "--model", str(model_path), "--data", str(data_dir),

@@ -5,9 +5,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from naive_ref import preprocess_ref
 
+from hccr import pipeline_data
 from hccr.pipeline_data import (
     PREPROC_PRESETS,
     Dataset,
@@ -21,6 +23,7 @@ from hccr.pipeline_data import (
     preprocess_dataset,
     read_pgm,
     resize_bilinear,
+    same_shape_runs,
     shuffle_split,
     synth_glyphs,
     write_gnt,
@@ -177,7 +180,7 @@ def test_preprocess_deterministic():
 
 
 def mixed_shape_dataset():
-    """Runs of one shape, some longer than 32, among 1xN, Nx1 and images
+    """Runs of one shape, some longer than same_shape_runs' 16, among 1xN, Nx1 and images
     already at a preset's target size; every image differs."""
     rng = np.random.default_rng(12)
     shapes = [(1, 9), (9, 1), (28, 28), (1, 1), (26, 26), (37, 61), (112, 112),
@@ -201,6 +204,25 @@ def test_preprocess_matches_per_image_reference():
                        s.image.dtype == np.float32 for s in got.samples)
             for sample, ref in zip(dataset.samples[::7], want.samples[::7]):
                 assert preprocess(sample, spec).image.tobytes() == ref.image.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([(1, 9), (9, 1), (4, 4), (3, 5)]),
+                          st.integers(1, 50)), max_size=8))
+@example([])
+@example([((4, 4), 16), ((4, 4), 17), ((1, 9), 32), ((9, 1), 1)])
+def test_same_shape_runs_cover_the_images_in_runs_of_one_shape(groups):
+    """Runs cover every index in order, each of one shape and at most the run
+    length long; a run is shorter only where the shape changes or the list ends."""
+    images = [np.zeros(shape, np.uint8) for shape, count in groups for _ in range(count)]
+    runs, length = same_shape_runs(images), pipeline_data._RUN_LENGTH
+    assert [i for run in runs for i in run] == list(range(len(images)))
+    for run in runs:
+        assert 1 <= len(run) <= length and run.step == 1
+        assert len({images[i].shape for i in run}) == 1
+        if len(run) < length:
+            assert run.stop == len(images) or images[run.stop].shape != images[run[0]].shape
+    assert same_shape_runs([]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -362,7 +362,7 @@ def test_inference_stacks_each_batch_just_before_its_pass(glyph_splits, monkeypa
 
 def mixed_shape_images(seed=0):
     """131 raw images in same-shape runs of 40 (48x48), 5 (37x61), 3 (1x9), 4 (9x1),
-    70 (48x48) and 9 (37x61): batches of 7 and 128 and preprocessing's runs of 32
+    70 (48x48) and 9 (37x61): batches of 7 and 128 and preprocessing's runs of 16
     all cut runs short."""
     rng = np.random.default_rng(seed)
     runs = [(40, (48, 48)), (5, (37, 61)), (3, (1, 9)), (4, (9, 1)), (70, (48, 48)),

@@ -39,12 +39,10 @@ from .pipeline_data import (
 from .train_eval import (
     TrainConfig,
     check_class_counts,
-    evaluate_topk,
     format_training_log,
     load_model,
     model_bytes,
     predict,
-    report_keyvalues,
     save_model,
     topk_percent,
     train,
@@ -175,17 +173,23 @@ def cmd_eval(args):
     if len(args.model) != 1:
         raise UsageError("eval takes exactly one --model")
     side, [(spec, params, mode, preset)] = _resolve_models(args, [args.mode])
-    report = evaluate_topk(spec, params, side, mode, args.batch, preset)
-    print(report_keyvalues(report))
+    labels, images = side.labels(), [s.image for s in side.samples]
+    probs = predict(spec, params, images, mode, args.batch, preset)
+    for k, percent in topk_percent(probs, labels).items():
+        print(f"top{k}={percent:.2f}")
+    print(f"mean_loss={tc.cross_entropy(probs, labels):.6f}\nsamples={len(labels)}\n"
+          f"parameters={count_parameters(spec)}\nserialized_bytes={model_bytes(spec)}")
 
 
 def cmd_extract(args):
     raw = _load_raw(args)
+    images = [sample.image for sample in raw.samples]
+    # the image of smallest side fails first (a Gabor kernel is 11x11): refuse before any write
+    stack_batch([min(images, key=lambda image: min(image.shape))], args.mode)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     names = ["".join(f"%{ord(ch):02X}" if ch in "/\0%" else ch for ch in tag)
              for tag in raw.class_names]        # each one path component
-    images = [sample.image for sample in raw.samples]
     for run in same_shape_runs(images):
         for index, planes in zip(run, stack_batch([images[i] for i in run], args.mode)):
             tc.write_dtns(out / f"{index:05d}_{names[raw.samples[index].label]}.dtns", planes)

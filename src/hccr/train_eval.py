@@ -1,4 +1,4 @@
-"""Training loop, top-k evaluation, ensembling, persistence and model size.
+"""Training loop, scoring, ensembling, persistence and model size.
 
 Training is plain minibatch SGD with momentum and a per-epoch multiplicative
 learning-rate decay, fully deterministic for a given seed, one taped
@@ -159,36 +159,6 @@ def train(spec, train_set, config, val_set=None):
         checkpoint = params.copy()
         lr *= LR_DECAY
     return params, log
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-@dataclass(frozen=True)
-class EvalReport:
-    topk: dict                  # k -> accuracy percent
-    mean_loss: float
-    sample_count: int
-    parameter_count: int
-    serialized_bytes: int
-
-
-def evaluate_topk(spec, params, dataset, mode="original", batch_size=128, preset=None):
-    """Top-k accuracies for each k of TOPK up to the class count, mean loss and
-    sizes; with a `preset` the dataset is raw and predict preprocesses each batch."""
-    labels = dataset.labels()
-    probs = predict(spec, params, [s.image for s in dataset.samples], mode, batch_size, preset)
-    return EvalReport(topk_percent(probs, labels), tc.cross_entropy(probs, labels),
-                      len(labels), count_parameters(spec), model_bytes(spec))
-
-
-def report_keyvalues(report):
-    lines = [f"top{k}={report.topk[k]:.2f}" for k in sorted(report.topk)]
-    lines += [f"mean_loss={report.mean_loss:.6f}",
-              f"samples={report.sample_count}",
-              f"parameters={report.parameter_count}",
-              f"serialized_bytes={report.serialized_bytes}"]
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import gc
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -12,16 +13,16 @@ import pytest
 
 import hccr
 from hccr import cli
+from hccr import tensor_core as tc
 from hccr.cli import main
 from hccr.directional_features import stack_input
-from hccr.network_builder import build_net, init_weights, reference_net
+from hccr.network_builder import build_net, count_parameters, init_weights, reference_net
 from hccr.pipeline_data import (PREPROC_PRESETS, Dataset, Sample, load_image_dir,
                                 load_gnt, shuffle_split, write_gnt)
 from hccr.tensor_core import read_dtns
-from hccr.train_eval import (evaluate_topk, load_model, report_keyvalues, save_model,
-                             topk_percent)
+from hccr.train_eval import load_model, model_bytes, save_model, topk_percent
 
-from naive_ref import predict_upfront_ref, preprocess_ref
+from naive_ref import predict_upfront_ref
 from test_train_eval import traced_peak_mib
 
 
@@ -362,14 +363,30 @@ def test_train_frees_the_raw_glyphs_before_training(gnt_path, monkeypatch):
 
 
 def test_eval_reports_topk(gnt_path, tmp_path, capsys):
+    """One key=value a line: each top-k with two decimals, mean_loss with six,
+    then the sample, parameter and byte counts."""
     model = seeded_model(tmp_path / "ten.hcrm", classes=10)
     rc = main(["eval", "--model", str(model), "--gnt", str(gnt_path),
                "--split", "test", "--seed", "0"])
     assert rc == 0
-    out = capsys.readouterr().out
-    for key in ("top1=", "top2=", "top5=", "top10=", "mean_loss=",
-                "serialized_bytes="):
-        assert key in out
+    pairs = [line.split("=") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [key for key, _ in pairs] == ["top1", "top2", "top5", "top10", "mean_loss",
+                                         "samples", "parameters", "serialized_bytes"]
+    assert all(re.fullmatch(r"\d+\.\d\d", value) for _, value in pairs[:4])
+    assert re.fullmatch(r"\d+\.\d{6}", pairs[4][1])
+    assert all(value.isdigit() for _, value in pairs[5:])
+
+
+def test_eval_report_sizes_match_size_report(gnt_path, tmp_path, capsys):
+    """samples is the scored side's length; parameters and serialized_bytes are
+    count_parameters and model_bytes, the size of the saved file."""
+    model = seeded_model(tmp_path / "ten.hcrm", classes=10)
+    assert main(["eval", "--model", str(model), "--gnt", str(gnt_path)]) == 0
+    values = dict(line.split("=") for line in capsys.readouterr().out.splitlines()[1:])
+    spec, _ = load_model(model)
+    assert values["samples"] == "80"            # the test side of 400 glyphs
+    assert values["parameters"] == str(count_parameters(spec))
+    assert values["serialized_bytes"] == str(model_bytes(spec)) == str(model.stat().st_size)
 
 
 @pytest.fixture(scope="module")
@@ -397,13 +414,15 @@ def test_streamed_eval_and_ensemble_report_as_upfront_preprocessing(mixed_gnt, t
     for split in ("test", "train"):
         side = shuffle_split(load_gnt(mixed_gnt), cli.TRAIN_FRACTION, 0)[split == "test"]
         data = ["--gnt", str(mixed_gnt), "--split", split, "--batch", "3"]
-        spec, params, mode, preset = loaded[1]
-        assert main(["eval", "--model", str(models[1][0]), "--mode", mode] + data) == 0
-        want = evaluate_topk(spec, params, preprocess_ref(side, preset), mode, 3)
-        assert capsys.readouterr().out.splitlines()[1:] == report_keyvalues(want).splitlines()
         labels, images = side.labels(), [s.image for s in side.samples]
         probs = [predict_upfront_ref(spec, params, images, mode, 3, preset)
                  for spec, params, mode, preset in loaded]
+        assert main(["eval", "--model", str(models[1][0]), "--mode", models[1][1]] + data) == 0
+        want = [f"top{k}={percent:.2f}" for k, percent in topk_percent(probs[1], labels).items()]
+        want += [f"mean_loss={tc.cross_entropy(probs[1], labels):.6f}", f"samples={len(labels)}",
+                 f"parameters={count_parameters(loaded[1][0])}",
+                 f"serialized_bytes={model_bytes(loaded[1][0])}"]
+        assert capsys.readouterr().out.splitlines()[1:] == want
         want = [f"member{i} top1={topk_percent(p, labels)[1]:.2f} mode={mode} ({path})"
                 for i, (p, (path, mode)) in enumerate(zip(probs, models))]
         want.append(f"ensemble top1={topk_percent(sum(probs) / 2, labels)[1]:.2f} members=2")
@@ -532,6 +551,22 @@ def test_ensemble_member_top1_equals_eval(gnt_path, tmp_path, capsys):
     assert members == alone
 
 
+@pytest.mark.parametrize("net, channels, mode", [("googlenet-small", 1, []),
+                                                 ("alexnet-small", 9, ["--mode", "original+hog"])])
+def test_eval_and_a_one_member_ensemble_agree(net, channels, mode, gnt_path, tmp_path, capsys):
+    """eval's top1 is a one-member ensemble's member and ensemble top1, at the
+    same --batch, --split and --seed."""
+    model = seeded_model(tmp_path / "m.hcrm", net, 10, channels)
+    argv = ["--model", str(model), "--gnt", str(gnt_path), "--batch", "7",
+            "--split", "train", "--seed", "3"] + mode
+    assert main(["eval"] + argv) == 0
+    top1 = capsys.readouterr().out.splitlines()[1].split("=")[1]
+    assert main(["ensemble"] + argv) == 0
+    member, ensemble = capsys.readouterr().out.splitlines()[1:]
+    assert member.split()[1] == ensemble.split()[1] == f"top1={top1}"
+    assert member.startswith("member0 ") and ensemble.endswith(" members=1")
+
+
 def test_inspect_reports_counts_and_sizes(model_path, capsys):
     rc = main(["inspect", "--model", str(model_path)])
     assert rc == 0
@@ -586,6 +621,20 @@ def test_extract_alternating_shapes_keep_their_indices(tmp_path):
         planes = read_dtns(out / f"{index:05d}_{('AA', 'AB')[sample.label]}.dtns")
         want = stack_input(sample.image, "original+gradient").planes
         assert planes.tobytes() == want.tobytes() and planes.shape == want.shape
+
+
+@pytest.mark.parametrize("mode", ["original+gabor", "gabor-only"])
+def test_refused_gabor_extract_writes_nothing(mode, mixed_gnt, tmp_path, capsys):
+    """The mixed GNT's 1x9 and 9x1 images are smaller than the Gabor kernel: a
+    Gabor mode exits 1 before the first write, while original+hog writes every
+    tensor and the first sample's previews."""
+    out = tmp_path / "ex"
+    assert main(["extract", "--gnt", str(mixed_gnt), "--mode", mode, "--out", str(out)]) == 1
+    assert "is smaller than the 11x11 kernel" in capsys.readouterr().err
+    assert not list(out.glob("*.dtns")) and not list(out.glob("*.pgm"))
+    assert main(["extract", "--gnt", str(mixed_gnt), "--mode", "original+hog",
+                 "--out", str(out)]) == 0
+    assert len(list(out.glob("*.dtns"))) == 100 and len(list(out.glob("plane*.pgm"))) == 9
 
 
 def test_train_log_deterministic_across_runs(data_dir, tmp_path, capsys):

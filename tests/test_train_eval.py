@@ -3,10 +3,12 @@
 import math
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hccr import cli
 from hccr import tensor_core as tc
 from hccr import train_eval
 from hccr.network_builder import (
@@ -41,17 +43,14 @@ from hccr.train_eval import (
     MODEL_MAGIC,
     MODEL_VERSION,
     TOPK,
-    EvalReport,
     TrainConfig,
     TrainLogEntry,
     ensemble_predict,
-    evaluate_topk,
     format_training_log,
     load_model,
     model_bytes,
     predict,
     relative_error_reduction,
-    report_keyvalues,
     save_model,
     topk_percent,
     train,
@@ -59,7 +58,7 @@ from hccr.train_eval import (
 from hccr.directional_features import MODE_CHANNELS, stack_batch
 from hccr.network_builder import forward_net
 
-from naive_ref import predict_upfront_ref, preprocess_ref, rank_classes
+from naive_ref import predict_upfront_ref, rank_classes
 
 # Error-rate reductions implied by accuracy pairs (94.77, 96.74) etc.,
 # frozen from hand arithmetic: (baseline_err - new_err) / baseline_err.
@@ -218,10 +217,9 @@ def test_log_formatting():
 # ---------------------------------------------------------------------------
 # evaluation
 
-def test_rank_classes_breaks_ties_low_first(monkeypatch):
+def test_rank_classes_breaks_ties_low_first():
     """topk_percent counts each label's rank; it must equal the label's place
-    in the stable argsort oracle, on tied, random and NaN rows, for every k,
-    alone and through evaluate_topk."""
+    in the stable argsort oracle, on tied, random and NaN rows, for every k."""
     probs = np.array([[0.2, 0.5, 0.2, 0.1],
                       [0.25, 0.25, 0.25, 0.25]], dtype=np.float32)
     ranked = rank_classes(probs)
@@ -236,42 +234,26 @@ def test_rank_classes_breaks_ties_low_first(monkeypatch):
     # every row with every label: the label in and out of ties and NaNs
     probs = np.repeat(np.array(rows, np.float32), t, axis=0)
     labels = np.tile(np.arange(t), len(rows))
-    monkeypatch.setattr(train_eval, "predict", lambda *args: probs)
-    images = np.zeros((len(labels), 16, 16), np.float32)
-    data = Dataset([Sample(im, int(lab)) for im, lab in zip(images, labels)],
-                   tuple(map(str, range(t))))
-    report = evaluate_topk(mini_spec(classes=t), None, data)
     at = np.argmax(rank_classes(probs) == labels[:, None], axis=1)    # oracle ranks
-    assert list(report.topk) == list(TOPK)
-    assert topk_percent(probs, labels) == report.topk
+    topk = topk_percent(probs, labels)
+    assert list(topk) == list(TOPK)
     for k in TOPK:
-        assert report.topk[k] == 100.0 * int((at < k).sum()) / len(labels)
+        assert topk[k] == 100.0 * int((at < k).sum()) / len(labels)
     # one row at a time, so each label's rank, not only the counts, must agree
     for row, label, rank in zip(probs, labels, at):
-        monkeypatch.setattr(train_eval, "predict", lambda *args: row[None])
-        one = evaluate_topk(mini_spec(classes=t), None, Dataset(
-            [Sample(images[0], int(label))], data.class_names))
-        assert one.topk == {k: 100.0 * (rank < k) for k in TOPK}
-        assert topk_percent(row[None], label[None]) == one.topk
+        assert topk_percent(row[None], label[None]) == {k: 100.0 * (rank < k) for k in TOPK}
 
 
 def test_topk_monotone_and_capped_at_class_count(glyph_splits):
     _, val_set = glyph_splits
     spec = mini_spec()          # 3 classes: top-5 and top-10 would read 100%
     params = init_weights(spec, 0)
-    report = evaluate_topk(spec, params, val_set)
-    assert list(report.topk) == [1, 2]
-    assert report.topk[1] <= report.topk[2]
-    assert report.mean_loss > 0
-    assert report.sample_count == len(val_set.samples)
-
-
-def test_eval_report_sizes_match_size_report(glyph_splits):
-    _, val_set = glyph_splits
-    spec = mini_spec()
-    report = evaluate_topk(spec, init_weights(spec, 0), val_set)
-    assert report.parameter_count == count_parameters(spec)
-    assert report.serialized_bytes == model_bytes(spec)
+    probs = predict(spec, params, [s.image for s in val_set.samples], "original", 128)
+    topk = topk_percent(probs, val_set.labels())
+    assert list(topk) == [1, 2]
+    assert topk[1] <= topk[2]
+    assert tc.cross_entropy(probs, val_set.labels()) > 0
+    assert len(probs) == len(val_set.samples)
 
 
 # Largest probability change --batch may cause on the small reference nets. Measured
@@ -298,14 +280,24 @@ def test_batch_size_moves_probabilities_within_tolerance(net, mode):
         assert np.array_equal(parts.argmax(axis=1), whole.argmax(axis=1))
 
 
-def test_report_renderers():
-    report = EvalReport({1: 50.0, 5: 100.0}, 0.75, 40, 1234, 5000)
-    text = report_keyvalues(report)
-    assert "top1=50.00" in text
-    assert "top5=100.00" in text
-    assert "mean_loss=0.750000" in text
-    assert "parameters=1234" in text
-    assert "serialized_bytes=5000" in text
+def test_report_renderers(monkeypatch, capsys):
+    """hccr eval renders fixed scores as key=value lines: top-k with two
+    decimals, mean_loss with six, then the sample, parameter and byte counts."""
+    spec = mini_spec()
+    side = Dataset([Sample(np.zeros((16, 16), np.float32), label) for label in (0, 1)],
+                   ("a", "b", "c"))
+    # label 1 ties label 2 in the second row and ranks second: top1 50%, top2 100%
+    probs = np.array([[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]], np.float32)
+    monkeypatch.setattr(cli, "_resolve_models",
+                        lambda args, modes: (side, [(spec, None, "original", None)]))
+    monkeypatch.setattr(cli, "predict", lambda *args: probs)
+    cli.cmd_eval(SimpleNamespace(model=["m.hcrm"], mode=None, batch=128))
+    assert capsys.readouterr().out.splitlines() == [
+        "top1=50.00", "top2=100.00",
+        f"mean_loss={1.5 * math.log(2):.6f}",               # -(ln 0.5 + ln 0.25) / 2
+        "samples=2",
+        f"parameters={count_parameters(spec)}",
+        f"serialized_bytes={model_bytes(spec)}"]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +338,7 @@ def test_inference_stacks_each_batch_just_before_its_pass(glyph_splits, monkeypa
     stacked = []
     monkeypatch.setattr(train_eval, "stack_batch", lambda batch, mode:
                         stacked.append(len(batch)) or stack_batch(batch, mode))
-    report = evaluate_topk(spec_a, members[0][1], val_set, "original", batch_size=7)
+    alone = predict(spec_a, members[0][1], images, "original", 7)
     got = ensemble_predict(members, images, batch_size=7)
     assert stacked == [7, 7, 4] * 3
 
@@ -356,7 +348,7 @@ def test_inference_stacks_each_batch_just_before_its_pass(glyph_splits, monkeypa
                                for lo in range(0, len(x), 7)])
 
     probs_a, probs_b = (whole_stack_in_slices(*m) for m in members)
-    assert report.mean_loss == tc.cross_entropy(probs_a, val_set.labels())
+    assert np.array_equal(alone, probs_a)
     assert np.array_equal(got, (probs_a + probs_b) / 2)
 
 
@@ -382,10 +374,6 @@ def test_streamed_scoring_keeps_the_bytes_of_upfront_preprocessing(net, monkeypa
         got = predict(spec, params, images, mode, batch, preset)
         want = predict_upfront_ref(spec, params, images, mode, batch, preset)
         assert got.tobytes() == want.tobytes()
-    raw = Dataset([Sample(image, i % 10) for i, image in enumerate(images)],
-                  tuple("0123456789"))
-    assert (evaluate_topk(spec, params, raw, mode, 7, preset)
-            == evaluate_topk(spec, params, preprocess_ref(raw, preset), mode, 7))
     steps = []
     for name, step in (("preprocess_images", preprocess_images), ("stack_batch", stack_batch)):
         monkeypatch.setattr(train_eval, name, lambda batch, arg, name=name, step=step:

@@ -104,7 +104,7 @@ def _resolve_models(args, modes):
     """Load every --model, check each against its mode (one for all models or
     one each) and the data's class count, and return the scored side of the
     held-out split, raw, with (spec, params, mode, preset) per model. The side is
-    copied out of the file's array one same-shape run at a time, freeing it."""
+    copied out of the file one same-shape run at a time (GNT's as uint8), freeing it."""
     loaded = [load_model(path) for path in args.model]
     if len(modes) == 1:
         modes = modes * len(loaded)

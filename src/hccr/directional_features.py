@@ -20,6 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor_core as tc
+from .pipeline_data import gray_unit
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +295,12 @@ _CHUNK_PIXELS = 64 * 32 * 32
 
 
 def stack_batch(images, mode):
-    """Network input [N, MODE_CHANNELS[mode], H, W] for grayscale images
-    [N, H, W]; the original bitmap, when present, is always channel 0."""
+    """Network input [N, MODE_CHANNELS[mode], H, W] for raw images [N, H, W]
+    (see gray_unit); the original bitmap, when present, is always channel 0."""
     if mode not in MODE_CHANNELS:
         known = ", ".join(sorted(MODE_CHANNELS))
         raise ValueError(f"unknown input mode {mode!r} (expected one of {known})")
-    images = np.asarray(images, dtype=tc.FLOAT)
+    images = gray_unit(images)
     if images.ndim != 3:
         raise tc.ShapeError(f"expected 2-d grayscale images, got {images.shape[1:]}")
     if not (images.min() >= 0 and images.max() <= 1):    # False for NaN too

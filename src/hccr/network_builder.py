@@ -424,10 +424,11 @@ def with_dropout_rate(spec, rate):
 def _forward_logits(spec, params, x, tape=None, rng=None):
     """Run every layer before the terminal softmax, recording on `tape` if given.
 
-    Returns (logits node [T, N], parameter nodes by name). The NCHW input is
-    transposed once, and every tensor after it is batch-last: [C, H, W, N],
-    or [D, N] once flat (see tensor_core). The tape gets the input batch as
-    an input that needs no gradient.
+    Returns (logits node [T, N], parameter nodes by name). The NCHW input
+    enters as its batch-last view, which no op writes into: the first layer's
+    padded copy or unfold is its one copy, and every tensor after it is
+    batch-last: [C, H, W, N], or [D, N] once flat (see tensor_core). The tape
+    gets the input batch as an input that needs no gradient.
     """
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[1:] != tuple(spec.input_shape):
@@ -437,7 +438,7 @@ def _forward_logits(spec, params, x, tape=None, rng=None):
     if not isinstance(head, Softmax):
         raise ShapeError("spec must end with a softmax")
     nodes = {k: Node(v) for k, v in params.items()}
-    cur = Node(np.ascontiguousarray(x.transpose(1, 2, 3, 0)))
+    cur = Node(x.transpose(1, 2, 3, 0))
     if tape is not None:
         tape.inputs = (cur,)
     for i, layer in enumerate(body):

@@ -23,7 +23,7 @@ from . import tensor_core as tc
 
 @dataclass(frozen=True)
 class Sample:
-    image: np.ndarray           # [H, W] grayscale in [0, 1]
+    image: np.ndarray           # [H, W]: uint8 levels 0-255 (GNT) or floats in [0, 1]
     label: int                  # index into its dataset's class_names
 
 
@@ -77,9 +77,17 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # preprocessing stages
 
+def gray_unit(images):
+    """Raw images as float32 in [0, 1]: uint8 levels over 255, anything else as is."""
+    images = np.asarray(images)
+    if images.dtype == np.uint8:
+        return images / np.float32(255.0)
+    return images.astype(tc.FLOAT, copy=False)
+
+
 def invert_gray(image):
-    """Reverse gray values: v -> 1 - v."""
-    return 1.0 - np.asarray(image, dtype=tc.FLOAT)
+    """Reverse gray values of raw images: v -> 1 - v, on gray_unit's scale."""
+    return 1.0 - gray_unit(image)
 
 
 def resize_bilinear(image, target):
@@ -169,13 +177,13 @@ GNT_HEADER = struct.Struct("<I2s2H")        # record size, tag, width, height
 def load_gnt(path):
     """Read GNT records: u32 size, 2-byte tag, u16 width, u16 height, pixels.
 
-    All integers little-endian; size must equal 10 + width*height. Gray
-    bytes are kept as stored, scaled to [0,1]. Samples keep record order;
+    All integers little-endian; size must equal 10 + width*height. Images are
+    uint8 views of the file's bytes, gray levels as stored. Samples keep record order;
     labels index the sorted tags, as load_image_dir's index its sorted
     folders, so the same classes get the same labels in any record order.
     """
     data = Path(path).read_bytes()
-    scaled = np.frombuffer(data, dtype=np.uint8) / np.float32(255.0)
+    levels = np.frombuffer(data, dtype=np.uint8)
     images, tags = [], []
     offset = 0
     while offset < len(data):
@@ -190,7 +198,7 @@ def load_gnt(path):
         if offset + size > len(data):
             raise ValueError(f"truncated record body at byte {offset}: "
                              f"need {size} bytes, have {len(data) - offset}")
-        images.append(scaled[offset + GNT_HEADER.size:offset + size].reshape(height, width))
+        images.append(levels[offset + GNT_HEADER.size:offset + size].reshape(height, width))
         tags.append(tag.decode("latin-1"))
         offset += size
     names = sorted(set(tags))
@@ -213,8 +221,7 @@ def write_gnt(dataset, path):
         try:
             for sample in dataset.samples:
                 tag = dataset.class_names[sample.label].encode("latin-1")
-                image = np.asarray(sample.image)
-                pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+                pixels = np.clip(np.rint(gray_unit(sample.image) * 255.0), 0, 255).astype(np.uint8)
                 h, w = pixels.shape
                 out.write(GNT_HEADER.pack(GNT_HEADER.size + w * h, tag, w, h) + pixels.tobytes())
         except BaseException:       # a sample that cannot be packed leaves no file
@@ -251,8 +258,8 @@ def read_pgm(path):
 
 
 def write_pgm(path, image):
-    """Write [0,1] grayscale as binary P5 with maxval 255."""
-    pixels = np.clip(np.rint(np.asarray(image) * 255.0), 0, 255).astype(np.uint8)
+    """Write a raw image (see gray_unit) as binary P5 with maxval 255."""
+    pixels = np.clip(np.rint(gray_unit(image) * 255.0), 0, 255).astype(np.uint8)
     h, w = pixels.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

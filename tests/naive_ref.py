@@ -173,10 +173,13 @@ def center_pad_ref(image, mask):
 
 
 def preprocess_ref(dataset, spec):
-    """Invert, resize and center-pad each sample on its own, in order."""
+    """Invert, resize and center-pad each sample on its own, in order; uint8
+    gray levels are first scaled to [0, 1] by 255."""
     samples = []
     for sample in dataset.samples:
-        image = 1.0 - np.asarray(sample.image, dtype=np.float32)
+        image = np.asarray(sample.image)
+        image = image / np.float32(255) if image.dtype == np.uint8 else image
+        image = 1.0 - np.asarray(image, dtype=np.float32)
         image = center_pad_ref(resize_bilinear_ref(image, spec.target), spec.mask)
         samples.append(Sample(image, sample.label))
     return Dataset(samples, dataset.class_names)

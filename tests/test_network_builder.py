@@ -549,6 +549,28 @@ def test_cache_sized_blocks_give_the_bits_of_one_gemm(monkeypatch, net, batch):
     assert blocked.dtype == np.float32 and blocked.tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("net,channels", [("googlenet-small", 1), ("googlenet-small", 9),
+                                          ("alexnet-small", 1), ("alexnet-small", 9)])
+@pytest.mark.parametrize("batch", [1, 7])
+def test_the_input_view_gives_the_bytes_of_a_contiguous_copy(net, channels, batch):
+    """The NCHW input reaches the first layer as its batch-last view: forward_net
+    and loss_and_grads leave it unchanged and give the bytes of an input whose
+    batch-last view is already contiguous, as the copy it once got was."""
+    spec = build_net(net, 10, channels)
+    params = init_weights(spec, seed=6)
+    x = np.random.default_rng(7).random((batch, *spec.input_shape), dtype=np.float32)
+    before = x.copy()
+    copied = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    labels = np.random.default_rng(8).integers(0, 10, batch)
+    view, copy = (forward_net(spec, params, inp)[0] for inp in (x, copied))
+    assert view.dtype == np.float32 and view.tobytes() == copy.tobytes()
+    view, copy = (loss_and_grads(spec, params, inp, labels, np.random.default_rng(1))
+                  for inp in (x, copied))
+    assert view[0] == copy[0] and view[1].tobytes() == copy[1].tobytes()
+    assert all(view[2][k].tobytes() == copy[2][k].tobytes() for k in params.keys())
+    assert x.tobytes() == before.tobytes() and copied.tobytes() == before.tobytes()
+
+
 def test_forward_net_keeps_no_unfold(monkeypatch):
     """With no tape nothing holds a conv's unfold once its GEMM is done."""
     spec = build_net("googlenet-small", 10, 1)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from naive_ref import preprocess_ref
 
 from hccr import pipeline_data
+from hccr.directional_features import MODE_CHANNELS, stack_batch
 from hccr.pipeline_data import (
     PREPROC_PRESETS,
     Dataset,
@@ -21,6 +22,7 @@ from hccr.pipeline_data import (
     load_image_dir,
     preprocess,
     preprocess_dataset,
+    preprocess_images,
     read_pgm,
     resize_bilinear,
     same_shape_runs,
@@ -242,9 +244,8 @@ def test_load_gnt_hand_built_record(tmp_path):
     sample = ds.samples[0]
     assert sample.image.shape == (3, 2)
     assert sample.label == 0
-    np.testing.assert_array_equal(
-        sample.image, np.arange(6, dtype=np.uint8).reshape(3, 2) / np.float32(255))
-    assert sample.image.dtype == np.float32
+    np.testing.assert_array_equal(sample.image, np.arange(6, dtype=np.uint8).reshape(3, 2))
+    assert sample.image.dtype == np.uint8       # the file's gray levels, 1 byte per pixel
     again = tmp_path / "again.gnt"      # a non-square record: width before height
     assert write_gnt(ds, again) == 16 and again.read_bytes() == path.read_bytes()
 
@@ -289,7 +290,8 @@ def test_load_gnt_labels_index_sorted_tags(tmp_path):
     ds = load_gnt(path)
     assert ds.class_names == ("AA", "ZZ")
     assert [s.label for s in ds.samples] == [1, 0, 1]
-    assert [s.image[0, 0] for s in ds.samples] == [0.0, 1.0, np.float32(128 / 255)]
+    assert [s.image[0, 0] for s in ds.samples] == [0, 255, 128]
+    assert all(s.image.dtype == np.uint8 for s in ds.samples)
     again = tmp_path / "again.gnt"
     write_gnt(ds, again)
     assert again.read_bytes() == path.read_bytes()
@@ -314,6 +316,38 @@ def test_gnt_round_trip_byte_exact(tmp_path):
     write_gnt(ds, first)
     write_gnt(load_gnt(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_gnt_levels_read_as_their_scaling_by_255(tmp_path):
+    """A GNT's uint8 images and their float32 scaling by 255 give the same bytes
+    through every reader of raw images: preprocess_images in every preset,
+    stack_batch in every mode, write_gnt and write_pgm. The GNT mixes shapes."""
+    rng, shapes = np.random.default_rng(5), [(48, 48), (37, 61), (1, 9), (9, 1), (48, 48)]
+    path = tmp_path / "mixed.gnt"
+    write_gnt(Dataset([Sample(rng.random(shapes[i % 5], dtype=np.float32), i % 3)
+                       for i in range(40)], ("AA", "AB", "AC")), path)
+    levels = load_gnt(path)
+    images = [s.image for s in levels.samples]
+    scaled = [image / np.float32(255) for image in images]
+    assert all(image.dtype == np.uint8 for image in images)
+    for spec in PREPROC_PRESETS.values():
+        assert ([a.tobytes() for a in preprocess_images(images, spec)] ==
+                [b.tobytes() for b in preprocess_images(scaled, spec)])
+    for run in same_shape_runs(images):
+        for mode in MODE_CHANNELS:
+            if "gabor" not in mode or min(images[run[0]].shape) >= 11:   # the Gabor kernel fits
+                assert (stack_batch([images[i] for i in run], mode).tobytes() ==
+                        stack_batch([scaled[i] for i in run], mode).tobytes())
+    again = [tmp_path / "levels.gnt", tmp_path / "scaled.gnt"]
+    write_gnt(levels, again[0])
+    write_gnt(Dataset([Sample(image, s.label) for image, s in zip(scaled, levels.samples)],
+                      levels.class_names), again[1])
+    assert again[0].read_bytes() == again[1].read_bytes() == path.read_bytes()
+    for image, unit in zip(images, scaled):
+        write_pgm(again[0], image)
+        write_pgm(again[1], unit)
+        assert again[0].read_bytes() == again[1].read_bytes()
+        assert read_pgm(again[0]).tobytes() == unit.tobytes()
 
 
 @pytest.mark.parametrize("name", ["ABC", "A", "\u4e00A"])

@@ -45,9 +45,10 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("mutations")
 
 
-def valid_image(image):
-    return (image.ndim == 2 and min(image.shape) >= 1 and image.dtype == tc.FLOAT
-            and image.min() >= 0 and image.max() <= 1)
+def valid_image(image, dtype=tc.FLOAT, top=1):
+    """A non-empty 2-d image of `dtype` with values in [0, top]."""
+    return (image.ndim == 2 and min(image.shape) >= 1 and image.dtype == dtype
+            and image.min() >= 0 and image.max() <= top)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +83,7 @@ GOOD_GNT = gnt_record(b"AA", 2, 3) + gnt_record(b"BB", 1, 1) + gnt_record(b"AA",
 def test_load_gnt_mutations(workdir, data):
     dataset = read_mutated(load_gnt, workdir / "g.gnt", data)
     if dataset is not None:
-        assert all(valid_image(s.image) for s in dataset.samples)
+        assert all(valid_image(s.image, np.uint8, 255) for s in dataset.samples)
         assert all(0 <= s.label < dataset.class_count for s in dataset.samples)
 
 

@@ -137,8 +137,9 @@ def center_pad(image, mask):
     return out
 
 
-# Images per same-shape run. A run bounds preprocessing's float64 temporaries and
-# extract's stacked planes; scored-side copies in runs of 32-1,024 left more heap behind.
+# Images per same-shape run. A run bounds preprocessing's float64 temporaries, extract's
+# stacked planes and synth_glyphs' renders of one class; scored-side copies in runs of
+# 32-1,024 left more heap behind, and rendering a whole class was slower.
 _RUN_LENGTH = 16
 
 
@@ -329,14 +330,23 @@ def _family_segments(family, off):
     raise ValueError(f"unknown glyph family {family}")
 
 
-def _render_segments(segments, thickness):
-    rows, cols = np.indices((GLYPH_SIZE, GLYPH_SIZE)).astype(np.float64)
-    ink = np.zeros((GLYPH_SIZE, GLYPH_SIZE))
-    for (x0, y0), (x1, y1) in segments:
+def _render_segments(strokes, thickness):
+    """A run's strokes [S, stroke, end, (x, y)] -> float32 images [S, 48, 48]. Each stroke
+    is drawn in its box over the run, widened by its reach and rounded outward: beyond
+    that box it would add no ink."""
+    reach = thickness / 2 + 0.5
+    ink = np.zeros((len(strokes), GLYPH_SIZE, GLYPH_SIZE))
+    for stroke in strokes.swapaxes(0, 1):
+        x0, y0, x1, y1 = stroke.reshape(-1, 4).T[:, :, None, None]
+        (c0, r0), (c1, r1) = np.clip([np.floor(stroke.min((0, 1)) - reach),
+                                      np.ceil(stroke.max((0, 1)) + reach) + 1],
+                                     0, GLYPH_SIZE).astype(int)
+        rows, cols = np.ogrid[r0:r1, c0:c1]
         dx, dy = x1 - x0, y1 - y0
         t = np.clip(((cols - x0) * dx + (rows - y0) * dy) / (dx * dx + dy * dy), 0, 1)
         dist = np.hypot(cols - (x0 + t * dx), rows - (y0 + t * dy))
-        ink = np.maximum(ink, np.clip(thickness / 2 + 0.5 - dist, 0, 1))
+        box = ink[:, r0:r1, c0:c1]
+        np.maximum(box, np.clip(reach - dist, 0, 1), out=box)
     return (1.0 - ink).astype(tc.FLOAT)   # dark strokes on a white ground
 
 
@@ -378,13 +388,18 @@ def synth_glyphs(class_count, samples_per_class, noise=0.0, seed=0):
         off = (variant % 5 - 2) * 1.5
         thickness = 2.0 + (variant // 5)
         base = _family_segments(family, off)
-        for _ in range(samples_per_class):
-            image = _render_segments(_perturb(base, rng), thickness)
+        for start in range(0, samples_per_class, _RUN_LENGTH):
+            run = min(_RUN_LENGTH, samples_per_class - start)
+            strokes = np.empty((run, len(base), 2, 2))
+            draws = np.empty((run, GLYPH_SIZE, GLYPH_SIZE))
+            for s in range(run):    # each sample's perturbation, then its noise
+                strokes[s] = _perturb(base, rng)
+                if noise > 0:
+                    draws[s] = rng.uniform(-noise, noise, draws[s].shape)
+            images = _render_segments(strokes, thickness)
             if noise > 0:
-                image = np.clip(
-                    image + rng.uniform(-noise, noise, image.shape), 0, 1
-                ).astype(tc.FLOAT)
-            samples.append(Sample(image, label))
+                images = np.clip(images + draws, 0, 1).astype(tc.FLOAT)
+            samples.extend(Sample(image, label) for image in images)
     return Dataset(samples, class_names)
 
 

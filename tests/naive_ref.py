@@ -15,7 +15,10 @@ oracle scatters each window cell's slice of the unfold's gradient into a
 zero-padded grid and crops it, as the program did before its conv backward
 took max pooling's in-range cells. The scoring oracle preprocesses a whole
 side before its first forward pass, as `hccr eval` and `hccr ensemble` did
-before they preprocessed each batch just before stacking it.
+before they preprocessed each batch just before stacking it. The synthetic
+glyph oracle renders one sample at a time over the whole 48x48 grid, as
+`synth_glyphs` did before it rendered runs of one class, each stroke inside
+its box.
 """
 
 import math
@@ -25,7 +28,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from hccr.directional_features import (HOG_BINS, HOG_CELL, chaincode_decompose,
                                        sobel_gradients)
-from hccr.pipeline_data import Dataset, Sample
+from hccr import tensor_core as tc
+from hccr.pipeline_data import (GLYPH_SIZE, Dataset, Sample, _family_segments,
+                                 _perturb)
 from hccr.train_eval import predict
 
 
@@ -265,3 +270,33 @@ def conv_dx_scatter_ref(g, x, w, stride, pad):
             dxp[:, i:i + stride * (ho - 1) + 1:stride,
                 j:j + stride * (wo - 1) + 1:stride] += dcols[:, i * kw + j]
     return dxp[:, pad:pad + h, pad:pad + wd]
+
+
+def render_segments_ref(segments, thickness):
+    rows, cols = np.indices((GLYPH_SIZE, GLYPH_SIZE)).astype(np.float64)
+    ink = np.zeros((GLYPH_SIZE, GLYPH_SIZE))
+    for (x0, y0), (x1, y1) in segments:
+        dx, dy = x1 - x0, y1 - y0
+        t = np.clip(((cols - x0) * dx + (rows - y0) * dy) / (dx * dx + dy * dy), 0, 1)
+        dist = np.hypot(cols - (x0 + t * dx), rows - (y0 + t * dy))
+        ink = np.maximum(ink, np.clip(thickness / 2 + 0.5 - dist, 0, 1))
+    return (1.0 - ink).astype(tc.FLOAT)
+
+
+def synth_glyphs_ref(class_count, samples_per_class, noise=0.0, seed=0):
+    """synth_glyphs' samples, each perturbed, rendered and noised in turn."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for label in range(class_count):
+        family, variant = label % 10, label // 10
+        off = (variant % 5 - 2) * 1.5
+        thickness = 2.0 + (variant // 5)
+        base = _family_segments(family, off)
+        for _ in range(samples_per_class):
+            image = render_segments_ref(_perturb(base, rng), thickness)
+            if noise > 0:
+                image = np.clip(
+                    image + rng.uniform(-noise, noise, image.shape), 0, 1
+                ).astype(tc.FLOAT)
+            samples.append(Sample(image, label))
+    return samples

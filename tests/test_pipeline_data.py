@@ -2,12 +2,13 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from naive_ref import preprocess_ref
+from naive_ref import preprocess_ref, synth_glyphs_ref
 
 from hccr import pipeline_data
 from hccr.directional_features import MODE_CHANNELS, stack_batch
@@ -518,6 +519,33 @@ def test_synth_takes_noise_up_to_half_the_float_range():
     for noise in (1e307, 8.98e307):
         image = synth_glyphs(1, 1, noise).samples[0].image
         assert image.dtype == np.float32 and ((image == 0) | (image == 1)).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_synth_matches_the_per_sample_full_grid_reference(seed):
+    """Every class, run lengths with a short tail (1, 16, 17, 33 per class) and
+    noise from none to the largest accepted: the same bytes as one glyph at a time."""
+    for per_class in (1, 16, 17, 33):
+        for noise in (0.0, 0.1, np.finfo(np.float64).max / 2):
+            got = synth_glyphs(100, per_class, noise, seed=seed).samples
+            want = synth_glyphs_ref(100, per_class, noise, seed=seed)
+            assert [s.label for s in got] == [s.label for s in want]
+            assert all(a.image.dtype == b.image.dtype and a.image.shape == b.image.shape
+                       and a.image.tobytes() == b.image.tobytes()
+                       for a, b in zip(got, want))
+
+
+def test_synth_holds_under_two_mib_beyond_its_images():
+    """perfbench's set-up draws 10 x 200 glyphs: rendering in runs of one class
+    keeps the peak near the images it returns (a whole class at once would not)."""
+    synth_glyphs(1, 1)
+    tracemalloc.start()
+    try:
+        ds = synth_glyphs(10, 200, noise=0.1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(s.image.nbytes for s in ds.samples) < 2 * 2 ** 20
 
 
 def test_synth_centroid_classifier_beats_sixty_percent():
